@@ -15,10 +15,25 @@ forward-most member, for antiparallel strands it is the rearmost one,
 and a chain that merges into a boundary stretch is never charged at
 all, which is also its correct price.
 
-The search is split into eight independent jobs keyed by the starting
-boundary and the first crossing, so a census can optionally spread
-over worker processes; the merged histogram does not depend on the
-number of workers.
+The search splits into eight independent tasks keyed by the starting
+boundary and the first crossing.  Two symmetries of the pants permute
+them: relabelling the legs (boundaries 1 <-> 2, cutting arcs a <-> b)
+and the mirror, which swaps the case of every letter (a <-> A,
+b <-> B).  Together they split the tasks into two orbits of four,
+{1B, 1b, 2A, 2a} and {3A, 3B, 3a, 3b}, and map the words of a task one
+to one onto the words of every other task in its orbit.  A census
+therefore prices one task per orbit and counts each of its words four
+times.  The remaining tasks may spread over worker processes; the
+merged histogram does not depend on the number of workers.
+
+That the four tasks of an orbit share one histogram is a property of
+the true self-intersection number: relabelling is a homeomorphism of
+the pants, and so is the mirror, the reflection that fixes both
+cutting arcs pointwise and reverses the direction of every crossing;
+a homeomorphism preserves the minimal number of self-crossings.
+For this engine the invariance is empirical: the test suite checks
+that the four histograms of each orbit agree at every word length from
+3 to 12.
 """
 
 from __future__ import annotations
@@ -89,6 +104,13 @@ def enumerate_words(word_length: int):
 
     for start in (1, 2, 3):
         yield from grow(0)
+
+
+# one (start, first crossing) task per orbit, with letter codes
+# a = 0, A = 1, b = 2, B = 3: 1B stands for {1B, 1b, 2A, 2a} and 3A
+# for {3A, 3B, 3a, 3b}
+_ORBIT_REPRESENTATIVES = ((1, 3), (3, 1))
+_ORBIT_SIZE = 4
 
 
 def _first_letter_tasks():
@@ -212,6 +234,26 @@ class CensusReport:
         }
 
 
+def _resolve_jobs(jobs):
+    """The census worker count: ``jobs``, else the ARC_JOBS environment
+    variable, else the logical CPU count; anything but a positive
+    integer raises ValueError naming the bad value."""
+    source = "jobs"
+    if jobs is None:
+        text = os.environ.get("ARC_JOBS")
+        if text is None:
+            return os.cpu_count() or 1
+        source = "ARC_JOBS"
+        try:
+            jobs = int(text)
+        except ValueError:
+            raise ValueError(f"ARC_JOBS must be a positive integer, "
+                             f"got {text!r}") from None
+    if jobs < 1:
+        raise ValueError(f"{source} must be a positive integer, got {jobs}")
+    return jobs
+
+
 # beyond this length a census is hours of work, not minutes
 CENSUS_SIZE_LIMIT = 16
 
@@ -221,8 +263,8 @@ def census(word_length: int, jobs: int | None = None,
     """Tally self-intersection numbers over all words of one length.
 
     ``jobs`` selects the number of worker processes (default: the
-    ARC_JOBS environment variable, else 1).  Lengths above
-    CENSUS_SIZE_LIMIT are refused unless ``allow_large`` is set.
+    ARC_JOBS environment variable, else the logical CPU count).  Lengths
+    above CENSUS_SIZE_LIMIT are refused unless ``allow_large`` is set.
     """
     if word_length < 2:
         raise ValueError("a word has at least two symbols")
@@ -230,21 +272,21 @@ def census(word_length: int, jobs: int | None = None,
         raise BudgetExceeded(
             f"censuses beyond word length {CENSUS_SIZE_LIMIT} take hours; "
             "pass allow_large=True to run one anyway")
-    if jobs is None:
-        jobs = int(os.environ.get("ARC_JOBS", "1"))
+    jobs = _resolve_jobs(jobs)
     if word_length == 2:
         hist = Counter({0: 7})
     else:
         tasks = [(word_length, start, first)
-                 for start, first in _first_letter_tasks()]
-        hist = Counter()
+                 for start, first in _ORBIT_REPRESENTATIVES]
         if jobs > 1:
             with Pool(min(jobs, len(tasks))) as pool:
-                for part in pool.map(_census_task_args, tasks):
-                    hist.update(part)
+                parts = pool.map(_census_task_args, tasks)
         else:
-            for t in tasks:
-                hist.update(_census_task(*t))
+            parts = [_census_task(*t) for t in tasks]
+        hist = Counter()
+        for part in parts:
+            for i, n in part.items():
+                hist[i] += _ORBIT_SIZE * n
     count = sum(hist.values())
     return CensusReport(word_length, count, min(hist), max(hist), dict(hist))
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .words import WordError, parse_word
@@ -18,6 +17,8 @@ from .census import CENSUS_SIZE_LIMIT, census, count_words, enumerate_words
 from .lowlying import (
     FAMILIES,
     UnsupportedFamily,
+    _COVER_FAMILIES,
+    _SPORADIC_VALUES,
     continued_fraction_value,
     family_intersections,
     family_quotients,
@@ -84,16 +85,13 @@ def _cmd_enumerate(args):
 
 
 def _cmd_census(args):
-    jobs = args.jobs
-    if jobs is None:
-        jobs = int(os.environ.get("ARC_JOBS", os.cpu_count() or 1))
     allow_large = False
     if args.length > CENSUS_SIZE_LIMIT:
         print(f"warning: census at word length {args.length} exceeds the "
               f"usual budget (limit {CENSUS_SIZE_LIMIT}); running anyway",
               file=sys.stderr)
         allow_large = True
-    report = census(args.length, jobs=jobs, allow_large=allow_large)
+    report = census(args.length, jobs=args.jobs, allow_large=allow_large)
     if args.histogram:
         with open(args.histogram, "w") as handle:
             handle.write("i,count\n")
@@ -169,11 +167,11 @@ def _cmd_spectrum(args):
 def _cmd_cover(args):
     limit = args.max
     members = {fam: value_set_members(fam, limit)
-               for fam in ("Z1", "Z2", "Z3", "Z4", "Z5")}
+               for fam in _COVER_FAMILIES}
     identities = {fam: vals == {v for v in range(limit + 1)
                                 if in_value_set(fam, v)}
                   for fam, vals in members.items()}
-    union = set().union(*members.values()) | {2, 7}
+    union = set().union(*members.values()) | set(_SPORADIC_VALUES)
     gaps = sorted(set(range(limit + 1)) - union)
     ok = not gaps and all(identities.values())
     payload = {"max": limit, "gaps": gaps, "identities": identities,
@@ -239,6 +237,17 @@ def _cmd_fixtures(args):
     return OK if not failures else VERIFY
 
 
+def _bound(text):
+    """An upper bound of a verification range: an integer, at least 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser for the ``pantsarc`` command."""
     fmt = _Parser(add_help=False)
@@ -294,12 +303,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", parents=[fmt],
                        help="verify witnesses for every i up to a bound")
-    p.add_argument("--max", type=int, required=True)
+    p.add_argument("--max", type=_bound, required=True)
     p.set_defaults(handler=_cmd_spectrum)
 
     p = sub.add_parser("cover", parents=[fmt],
                        help="verify the family value sets cover all i")
-    p.add_argument("--max", type=int, required=True)
+    p.add_argument("--max", type=_bound, required=True)
     p.set_defaults(handler=_cmd_cover)
 
     p = sub.add_parser("tables", parents=[fmt],

@@ -1,8 +1,14 @@
+import os
+from collections import Counter
+
 import pytest
 
 from pantsarc.census import (
     BudgetExceeded,
     SIMPLE_WORDS,
+    _census_task,
+    _first_letter_tasks,
+    _resolve_jobs,
     census,
     check_conjectured_max,
     conjectured_max,
@@ -13,7 +19,13 @@ from pantsarc.census import (
     max_witness,
 )
 from pantsarc.intersect import self_intersection
-from pantsarc.words import parse_word
+from pantsarc.words import LETTER_CHARS, parse_word
+
+# the (start, first crossing) tasks, grouped into their orbits under
+# relabelling (1 <-> 2, a <-> b) and mirroring (a <-> A, b <-> B)
+TASK_ORBITS = tuple(
+    tuple((int(t[0]), LETTER_CHARS.index(t[1])) for t in orbit)
+    for orbit in (("1B", "1b", "2A", "2a"), ("3A", "3B", "3a", "3b")))
 
 
 def test_count_formula():
@@ -71,6 +83,23 @@ def test_reference_covers_lengths_2_to_16():
 
 def test_census_is_deterministic_across_workers():
     assert census(8, jobs=1) == census(8, jobs=2)
+
+
+def test_task_orbits_share_one_histogram(census_by_length):
+    assert sorted(sum(TASK_ORBITS, ())) == sorted(_first_letter_tasks())
+    for wl in range(3, 13):
+        hists = {t: _census_task(wl, *t) for t in _first_letter_tasks()}
+        for orbit in TASK_ORBITS:
+            assert all(hists[t] == hists[orbit[0]] for t in orbit), (wl, orbit)
+        assert census_by_length[wl].histogram == dict(sum(hists.values(), Counter()))
+
+
+def test_jobs_default(monkeypatch):
+    monkeypatch.delenv("ARC_JOBS", raising=False)
+    assert _resolve_jobs(None) == os.cpu_count()
+    monkeypatch.setenv("ARC_JOBS", "2")
+    assert _resolve_jobs(None) == 2
+    assert _resolve_jobs(1) == 1
 
 
 def test_census_budget_guard():

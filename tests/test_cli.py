@@ -110,6 +110,32 @@ def test_census_deterministic_across_jobs(capsys):
     assert out1 == out2
 
 
+def test_census_rejects_bad_jobs(capsys, monkeypatch):
+    for bad in ("0", "-3"):
+        code, out, err = run(capsys, "census", "--length", "4", "--jobs", bad)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and bad in err
+    for bad in ("x", "0", "-2", "1.5"):
+        monkeypatch.setenv("ARC_JOBS", bad)
+        code, out, err = run(capsys, "census", "--length", "4")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "ARC_JOBS" in err and bad in err
+    # an explicit --jobs wins over the environment
+    code, out, _ = run(capsys, "census", "--length", "4", "--jobs", "1")
+    assert code == 0 and json.loads(out)["word_count"] == 48
+
+
+@pytest.mark.parametrize("argv", [("spectrum", "--max", "-5"),
+                                  ("cover", "--max", "-1"),
+                                  ("cover", "--max", "x")])
+def test_verification_bound_must_be_natural(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == "" and argv[-1] in err
+
+
 def test_family_verify(capsys):
     code, out, _ = run(capsys, "family", "--id", "Z3", "--n", "1", "--verify")
     payload = json.loads(out)

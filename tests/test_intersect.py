@@ -13,7 +13,8 @@ from pantsarc.intersect import (
     trace,
 )
 from pantsarc.planar import endpoint_items
-from pantsarc.words import inverse, is_positive, parse_word, positivize, relabel, seam_counts
+from pantsarc.words import (
+    ArcWord, inverse, is_positive, parse_word, positivize, relabel, seam_counts)
 
 import oracle_modular
 from circle_oracle import item_points, second_strand_left
@@ -112,6 +113,8 @@ def test_invariant_under_inverse_and_relabel(w):
     n = self_intersection(w)
     assert self_intersection(inverse(w)) == n
     assert self_intersection(relabel(w)) == n
+    # the mirror: every crossing reversed
+    assert self_intersection(ArcWord(w.start, tuple(c ^ 1 for c in w.letters), w.end)) == n
 
 
 @given(arc_words())
