@@ -15,6 +15,27 @@ forward-most member, for antiparallel strands it is the rearmost one,
 and a chain that merges into a boundary stretch is never charged at
 all, which is also its correct price.
 
+The children of a tree node share their newest segment s's start
+fr[s] and every earlier segment; only to[s] differs between them.  A
+chain's verdict compares its two divergence ends, and only one of them
+reads to[s]: the rear end of a parallel chain lies behind (p, s), the
+front end of an antiparallel one between p and s.  The search keeps
+the end no child can move in a *residual byte* per earlier segment p,
+its 6-bit shape fr << 3 | to plus that verdict bit, and prices every
+child with one ``bytes.translate`` of the residual through a table for
+the child's shape and a count of the ones, both in C.  No chain is
+walked: the chain through (p, s) runs on through (p - 1, s - 1) or
+(p + 1, s - 1), a pair of the parent node, so a node's residual is one
+table step from its parent's, settled once for all of its children.
+The charging rule is the one above, unchanged: the tables give each
+chain its verdict at the same member, and every word's total equals
+the word engine's.  The single-word engine's AlignmentOverrun for
+colliding antiparallel strands cannot arise here: strands collide only
+where to[P] == fr[Q] with Q - P <= 2, but a segment starts on the far
+side of the cutting arc its predecessor ends on, and Q - P == 2 needs
+a letter followed by its inverse, while the search grows reduced words
+only.
+
 The search splits into eight independent tasks keyed by the starting
 boundary and the first crossing.  Two symmetries of the pants permute
 them: relabelling the legs (boundaries 1 <-> 2, cutting arcs a <-> b)
@@ -38,12 +59,12 @@ that the four histograms of each orbit agree at every word length from
 
 from __future__ import annotations
 
+import functools
 import os
 from collections import Counter
 from dataclasses import dataclass
 from multiprocessing import Pool
 
-from .intersect import AlignmentOverrun
 from .planar import CORNER_ITEM, DECISIONS, EDGE_ITEM, FAR_WAIST_ITEM
 from .words import ArcWord, _CLASHING_FAMILY
 
@@ -55,6 +76,14 @@ _LEX_CODES = (1, 3, 0, 2)
 
 # admissible closing digits by family of the last crossing, ascending
 _ENDS_FOR_FAMILY = ((2, 3), (1, 3))
+
+# shapes of the last segment after the last letter, in the order of
+# the closing digits
+_CLOSING_SHAPES = tuple(
+    tuple(EDGE_ITEM[last ^ 1] << 3
+          | (CORNER_ITEM[end] if end != 3 else FAR_WAIST_ITEM[last ^ 1])
+          for end in _ENDS_FOR_FAMILY[last >> 1])
+    for last in range(4))
 
 # crossing-free words, already in ASCII order
 _BARE_WORDS = ("12", "13", "21", "23", "31", "32", "33")
@@ -122,87 +151,114 @@ def _first_letter_tasks():
     return tasks
 
 
+# a residual byte describes an earlier segment p as seen from segment
+# s: the shape fr[p] << 3 | to[p] in bits 0-5 and, in this bit, the
+# verdict at the end of p's chain with s that no child of s can move
+_SHARED = 64
+
+# decided verdicts kept, undecidable pairs cleared
+_UNCHAINED = bytes((0, 1)).ljust(256, b"\0")
+
+
+def _price_row(cs):
+    """What the pair (p, s) adds, per residual byte of p, when segment s
+    has shape cs: the decided verdict, 0 for a chain charged at another
+    member, else the chain's verdict, in the branch order of the rule."""
+    fs, ts = cs >> 3, cs & 7
+    decided = DECISIONS[cs::64]
+    row = bytearray(256)
+    row[:64] = row[64:128] = decided.translate(_UNCHAINED)
+    for shape in range(64):
+        fp, tp = shape >> 3, shape & 7
+        if decided[shape] < 2 or tp == ts:
+            # decided, or parallel strands that continue forward
+            continue
+        if fp == fs:
+            # forward-most member of a parallel chain; the shared bit
+            # is the rear verdict
+            front = (ts - fp) % 8 > (tp - fp) % 8
+            row[shape], row[shape | _SHARED] = front, not front
+        elif fp != ts:
+            # rearmost member of an antiparallel chain; the shared bit
+            # is the front verdict (with fp == ts the strands continue
+            # rearward, or merge into one boundary stretch)
+            rear = (ts - tp) % 8 < (fp - tp) % 8
+            row[shape], row[shape | _SHARED] = rear, not rear
+    return bytes(row)
+
+
+def _step_row(qs):
+    """What the residual byte of p seen from segment q = s - 1, of shape
+    qs, settles of the residual seen from segment s.
+
+    A segment starts on the far side of the cutting arc its predecessor
+    ends on, so fr[x + 1] == fr[s] exactly when to[x] == to[q].  Bits
+    0-5 keep p's shape.  Bit 7 is the shared (rear) verdict of the
+    parallel chain whose forward-most member is (p + 1, s), and bit 6
+    the shared (front) verdict of the antiparallel chain whose rearmost
+    member is (p - 1, s).  Each chain runs on through (p, q), whose
+    shared bit it copies, or diverges there, where it is read off.
+    """
+    fq, tq = qs >> 3, qs & 7
+    row = bytearray(256)
+    for shape in range(64):
+        fp, tp = shape >> 3, shape & 7
+        out, copied = shape, 0
+        if tp == tq:
+            if fp == fq:
+                copied |= 128
+            elif (fq - tp) % 8 < (fp - tp) % 8:
+                out |= 128
+        if fp == tq:
+            if tp == fq:
+                copied |= 64
+            elif (fq - fp) % 8 > (tp - fp) % 8:
+                out |= 64
+        row[shape] = out
+        row[shape | _SHARED] = out | copied
+    return bytes(row)
+
+
+@functools.cache
+def _kernel_tables():
+    """The census kernel's step and price tables, one row per segment
+    shape, built on first use."""
+    return (tuple(_step_row(shape) for shape in range(64)),
+            tuple(_price_row(shape) for shape in range(64)))
+
+
 def _census_task(word_length, start, first):
     """Histogram over all words of one (start, first crossing) job."""
+    steps, prices = _kernel_tables()
     L = word_length - 2
-    T = L + 1
-    fr = [0] * T
-    to = [0] * T
-    sc = [0] * T
-    letters = [0] * L
-    letters[0] = first
-    fr[0] = CORNER_ITEM[start] if start != 3 else FAR_WAIST_ITEM[first]
-    to[0] = EDGE_ITEM[first]
-    sc[0] = fr[0] << 3 | to[0]
+    from_bytes = int.from_bytes
+    # fields of a stepped residual read as one little-endian integer
+    own = from_bytes(b"\x3f" * L, "little")
+    ahead = from_bytes(b"\x80" * L, "little")
+    behind = from_bytes(b"\x40" * L, "little")
     hist = Counter()
-    dec = DECISIONS
 
-    def pair_adds(s):
-        # price every pair (p, s); s is the newest segment on the path
-        adds = 0
-        cs = sc[s]
-        ts = to[s]
-        fs = fr[s]
-        for p in range(s):
-            c = dec[sc[p] << 6 | cs]
-            if c < 2:
-                adds += c
-            elif to[p] == ts:
-                # parallel strands continue forward; charged there
-                pass
-            elif fr[p] == fs:
-                # forward-most member of a parallel chain
-                P, Q = p, s
-                while fr[P] == fr[Q]:
-                    P -= 1
-                    Q -= 1
-                shared = to[P]
-                rear = (fr[Q] - shared) % 8 < (fr[P] - shared) % 8
-                shared = fr[p]
-                front = (to[s] - shared) % 8 > (to[p] - shared) % 8
-                adds += rear != front
-            elif fr[p] == ts:
-                # antiparallel strands continue rearward (or merge into
-                # one boundary stretch, which costs nothing)
-                pass
-            else:
-                # rearmost member of an antiparallel chain
-                P, Q = p, s
-                while to[P] == fr[Q]:
-                    if Q - P < 3:
-                        raise AlignmentOverrun("antiparallel strands collided")
-                    P += 1
-                    Q -= 1
-                shared = to[p]
-                rear = (to[s] - shared) % 8 < (fr[p] - shared) % 8
-                shared = fr[P]
-                front = (fr[Q] - shared) % 8 > (to[P] - shared) % 8
-                adds += rear != front
-        return adds
-
-    def grow(k, subtotal):
+    def grow(k, prev, qs, parent, subtotal):
+        # parent is the residual seen from segment k - 1, of shape qs;
+        # the children of this node share segment k's start, so one
+        # step prices every chain they share
+        y = from_bytes(parent.translate(steps[qs]), "little")
+        residual = (y & own | (y & ahead) << 7 | (y & behind) >> 8
+                    | qs << 8 * (k - 1)).to_bytes(k, "little")
         if k == L:
-            last = letters[-1]
-            base = EDGE_ITEM[last ^ 1]
-            fr[L] = base
-            for end in _ENDS_FOR_FAMILY[last >> 1]:
-                to[L] = CORNER_ITEM[end] if end != 3 else FAR_WAIST_ITEM[last ^ 1]
-                sc[L] = base << 3 | to[L]
-                hist[subtotal + pair_adds(L)] += 1
+            for cs in _CLOSING_SHAPES[prev]:
+                hist[subtotal + residual.translate(prices[cs]).count(1)] += 1
             return
-        prev = letters[k - 1]
-        banned = prev ^ 1
-        base = EDGE_ITEM[banned]
-        fr[k] = base
+        f = EDGE_ITEM[prev ^ 1] << 3
         for c in _LEX_CODES:
-            if c == banned:
+            if c == prev ^ 1:
                 continue
-            letters[k] = c
-            to[k] = EDGE_ITEM[c]
-            sc[k] = base << 3 | to[k]
-            grow(k + 1, subtotal + pair_adds(k))
+            cs = f | EDGE_ITEM[c]
+            grow(k + 1, c, cs, residual,
+                 subtotal + residual.translate(prices[cs]).count(1))
 
-    grow(1, 0)
+    head = CORNER_ITEM[start] if start != 3 else FAR_WAIST_ITEM[first]
+    grow(1, first, head << 3 | EDGE_ITEM[first], b"", 0)
     return hist
 
 

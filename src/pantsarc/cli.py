@@ -78,9 +78,18 @@ def _cmd_enumerate(args):
     if args.count_only:
         _print({"word_length": n, "count": count}, args, str(count))
         return OK
-    words = [str(w) for w in enumerate_words(n)]
-    _print({"word_length": n, "count": count, "words": words},
-           args, "\n".join(words))
+    # one word at a time, in the bytes _print would give the whole list
+    words = (str(w) for w in enumerate_words(n))
+    out = sys.stdout
+    if args.format == "json":
+        out.write(f'{{"word_length":{n},"count":{count},"words":[')
+        out.write(json.dumps(next(words)))
+        for word in words:
+            out.write("," + json.dumps(word))
+        out.write("]}\n")
+    else:
+        for word in words:
+            out.write(word + "\n")
     return OK
 
 

@@ -105,15 +105,27 @@ def classify(s: Segment, t: Segment) -> Classification:
     return _classify_raw(s.fr, s.to, t.fr, t.to)
 
 
+# decision against a second chord from the codes of its two end items:
+# 0 or 1 for the side of the first chord an item lies on, 2 for a
+# cutting-arc side and 3 for a boundary stretch shared with it
+_PAIR_VERDICT = tuple(
+    tuple(2 if 2 in (a, b) else 0 if 3 in (a, b) else int(a != b)
+          for b in range(4))
+    for a in range(4))
+
+
+def _decision_row(f1, t1):
+    """Decisions of the chord (f1, t1) against every (f2, t2), as the
+    64 bytes indexed f2 << 3 | t2; agrees with _classify_raw."""
+    span = (t1 - f1) % N_ITEMS
+    where = [2 + x % 2 if x in (f1, t1) else int((x - f1) % N_ITEMS < span)
+             for x in range(N_ITEMS)]
+    return bytes(_PAIR_VERDICT[a][b] for a in where for b in where)
+
+
 def _build_decision_table():
-    table = bytearray(4096)
-    for f1 in range(8):
-        for t1 in range(8):
-            for f2 in range(8):
-                for t2 in range(8):
-                    idx = f1 << 9 | t1 << 6 | f2 << 3 | t2
-                    table[idx] = _classify_raw(f1, t1, f2, t2).value
-    return bytes(table)
+    return b"".join(_decision_row(f1, t1)
+                    for f1 in range(N_ITEMS) for t1 in range(N_ITEMS))
 
 
 # decision per packed endpoint quadruple (f1, t1, f2, t2), 3 bits each

@@ -94,6 +94,16 @@ def test_task_orbits_share_one_histogram(census_by_length):
         assert census_by_length[wl].histogram == dict(sum(hists.values(), Counter()))
 
 
+def test_tasks_match_the_word_engine():
+    # every task histogram, word by word against the single-word engine
+    for wl in range(3, 11):
+        by_task = {t: Counter() for t in _first_letter_tasks()}
+        for w in enumerate_words(wl):
+            by_task[w.start, w.letters[0]][self_intersection(w)] += 1
+        for task, hist in by_task.items():
+            assert _census_task(wl, *task) == hist, (wl, task)
+
+
 def test_jobs_default(monkeypatch):
     monkeypatch.delenv("ARC_JOBS", raising=False)
     assert _resolve_jobs(None) == os.cpu_count()

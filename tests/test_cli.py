@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from pantsarc.census import count_words, enumerate_words
 from pantsarc.cli import main
 
 
@@ -85,6 +86,19 @@ def test_enumerate(capsys):
     code, out, _ = run(capsys, "enumerate", "--length", "2",
                        "--count-only", "--format", "text")
     assert out == "7\n"
+
+
+def test_enumerate_streams_the_list_bytes(capsys):
+    for n in range(2, 9):
+        words = [str(w) for w in enumerate_words(n)]
+        payload = {"word_length": n, "count": count_words(n), "words": words}
+        code, out, _ = run(capsys, "enumerate", "--length", str(n))
+        assert code == 0
+        assert out == json.dumps(payload, separators=(",", ":")) + "\n"
+        code, out, _ = run(capsys, "enumerate", "--length", str(n),
+                           "--format", "text")
+        assert code == 0
+        assert out == "\n".join(words) + "\n"
 
 
 def test_census_contains_reference_extremes(capsys):

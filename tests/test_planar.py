@@ -13,6 +13,7 @@ from pantsarc.planar import (
     SEGMENT_LABELS,
     Classification,
     Segment,
+    _classify_raw,
     classify,
     load_reference_pairs,
     regenerate_tables,
@@ -85,6 +86,11 @@ def test_decision_table_agrees_with_classify():
     for s, t in itertools.product(SEGMENT_LABELS.values(), repeat=2):
         packed = (s.fr << 3 | s.to) << 6 | t.fr << 3 | t.to
         assert DECISIONS[packed] == classify(s, t).value
+
+
+def test_decision_table_covers_every_quadruple():
+    for packed, (f1, t1, f2, t2) in enumerate(itertools.product(range(8), repeat=4)):
+        assert DECISIONS[packed] == _classify_raw(f1, t1, f2, t2).value
 
 
 def test_reference_pairs_regenerate():
