@@ -7,34 +7,25 @@ segment pair inside that prefix, so the walk is a depth-first search
 over letters that carries a running subtotal per tree node instead of
 re-pricing each word from scratch.
 
-Each undecidable pair belongs to a chain (see the intersect module)
-and the chain must be charged exactly once.  The search charges it at
-the member whose larger segment index is largest, because that member
-is completed last: for a chain whose strands run parallel this is the
-forward-most member, for antiparallel strands it is the rearmost one,
-and a chain that merges into a boundary stretch is never charged at
-all, which is also its correct price.
+Each undecidable pair belongs to a chain, and the search charges it
+by the word engine's rule and with the word engine's tables (see the
+intersect module): once, at the member whose larger segment index is
+largest, reading the verdict off the *residual byte* of the earlier
+segment p as seen from the newest segment s.
 
-The children of a tree node share their newest segment s's start
-fr[s] and every earlier segment; only to[s] differs between them.  A
-chain's verdict compares its two divergence ends, and only one of them
-reads to[s]: the rear end of a parallel chain lies behind (p, s), the
-front end of an antiparallel one between p and s.  The search keeps
-the end no child can move in a *residual byte* per earlier segment p,
-its 6-bit shape fr << 3 | to plus that verdict bit, and prices every
-child with one ``bytes.translate`` of the residual through a table for
-the child's shape and a count of the ones, both in C.  No chain is
-walked: the chain through (p, s) runs on through (p - 1, s - 1) or
-(p + 1, s - 1), a pair of the parent node, so a node's residual is one
-table step from its parent's, settled once for all of its children.
-The charging rule is the one above, unchanged: the tables give each
-chain its verdict at the same member, and every word's total equals
-the word engine's.  The single-word engine's AlignmentOverrun for
-colliding antiparallel strands cannot arise here: strands collide only
-where to[P] == fr[Q] with Q - P <= 2, but a segment starts on the far
-side of the cutting arc its predecessor ends on, and Q - P == 2 needs
-a letter followed by its inverse, while the search grows reduced words
-only.
+The word engine steps one residual per segment along a single word.
+The search steps one residual per tree node instead, and that is all
+it adds: the children of a node share their newest segment s's start
+fr[s] and every earlier segment, and only to[s] differs between them.
+The residual holds the chain end no child can move, so a node steps
+its residual from its parent's once, and each child is one
+``bytes.translate`` through the price row of its shape and a count of
+the ones, both in C.  Every word's total equals the word engine's.
+
+The word engine rejects a word with a crossing undone by its reverse
+with AlignmentOverrun before it prices any pair, because its steps
+presume a reduced word.  The search grows reduced words only, so it
+needs no such guard.
 
 The search splits into eight independent tasks keyed by the starting
 boundary and the first crossing.  Two symmetries of the pants permute
@@ -44,8 +35,9 @@ b <-> B).  Together they split the tasks into two orbits of four,
 {1B, 1b, 2A, 2a} and {3A, 3B, 3a, 3b}, and map the words of a task one
 to one onto the words of every other task in its orbit.  A census
 therefore prices one task per orbit and counts each of its words four
-times.  The remaining tasks may spread over worker processes; the
-merged histogram does not depend on the number of workers.
+times.  The remaining two tasks spread over two worker processes when
+the census is large enough to repay starting them; the merged
+histogram does not depend on the number of workers.
 
 That the four tasks of an orbit share one histogram is a property of
 the true self-intersection number: relabelling is a homeomorphism of
@@ -59,13 +51,13 @@ that the four histograms of each orbit agree at every word length from
 
 from __future__ import annotations
 
-import functools
 import os
 from collections import Counter
 from dataclasses import dataclass
 from multiprocessing import Pool
 
-from .planar import CORNER_ITEM, DECISIONS, EDGE_ITEM, FAR_WAIST_ITEM
+from .intersect import _kernel_tables
+from .planar import CORNER_ITEM, EDGE_ITEM, FAR_WAIST_ITEM
 from .words import ArcWord, _CLASHING_FAMILY
 
 # every arc with no self-crossing at all, up to free homotopy
@@ -149,82 +141,6 @@ def _first_letter_tasks():
             if c >> 1 != _CLASHING_FAMILY.get(start):
                 tasks.append((start, c))
     return tasks
-
-
-# a residual byte describes an earlier segment p as seen from segment
-# s: the shape fr[p] << 3 | to[p] in bits 0-5 and, in this bit, the
-# verdict at the end of p's chain with s that no child of s can move
-_SHARED = 64
-
-# decided verdicts kept, undecidable pairs cleared
-_UNCHAINED = bytes((0, 1)).ljust(256, b"\0")
-
-
-def _price_row(cs):
-    """What the pair (p, s) adds, per residual byte of p, when segment s
-    has shape cs: the decided verdict, 0 for a chain charged at another
-    member, else the chain's verdict, in the branch order of the rule."""
-    fs, ts = cs >> 3, cs & 7
-    decided = DECISIONS[cs::64]
-    row = bytearray(256)
-    row[:64] = row[64:128] = decided.translate(_UNCHAINED)
-    for shape in range(64):
-        fp, tp = shape >> 3, shape & 7
-        if decided[shape] < 2 or tp == ts:
-            # decided, or parallel strands that continue forward
-            continue
-        if fp == fs:
-            # forward-most member of a parallel chain; the shared bit
-            # is the rear verdict
-            front = (ts - fp) % 8 > (tp - fp) % 8
-            row[shape], row[shape | _SHARED] = front, not front
-        elif fp != ts:
-            # rearmost member of an antiparallel chain; the shared bit
-            # is the front verdict (with fp == ts the strands continue
-            # rearward, or merge into one boundary stretch)
-            rear = (ts - tp) % 8 < (fp - tp) % 8
-            row[shape], row[shape | _SHARED] = rear, not rear
-    return bytes(row)
-
-
-def _step_row(qs):
-    """What the residual byte of p seen from segment q = s - 1, of shape
-    qs, settles of the residual seen from segment s.
-
-    A segment starts on the far side of the cutting arc its predecessor
-    ends on, so fr[x + 1] == fr[s] exactly when to[x] == to[q].  Bits
-    0-5 keep p's shape.  Bit 7 is the shared (rear) verdict of the
-    parallel chain whose forward-most member is (p + 1, s), and bit 6
-    the shared (front) verdict of the antiparallel chain whose rearmost
-    member is (p - 1, s).  Each chain runs on through (p, q), whose
-    shared bit it copies, or diverges there, where it is read off.
-    """
-    fq, tq = qs >> 3, qs & 7
-    row = bytearray(256)
-    for shape in range(64):
-        fp, tp = shape >> 3, shape & 7
-        out, copied = shape, 0
-        if tp == tq:
-            if fp == fq:
-                copied |= 128
-            elif (fq - tp) % 8 < (fp - tp) % 8:
-                out |= 128
-        if fp == tq:
-            if tp == fq:
-                copied |= 64
-            elif (fq - fp) % 8 > (tp - fp) % 8:
-                out |= 64
-        row[shape] = out
-        row[shape | _SHARED] = out | copied
-    return bytes(row)
-
-
-@functools.cache
-def _kernel_tables():
-    """The census kernel's step and price tables, one row per segment
-    shape, built on first use."""
-    return (tuple(_step_row(shape) for shape in range(64)),
-            tuple(_price_row(shape) for shape in range(64)))
 
 
 def _census_task(word_length, start, first):
@@ -313,14 +229,23 @@ def _resolve_jobs(jobs):
 # beyond this length a census is hours of work, not minutes
 CENSUS_SIZE_LIMIT = 16
 
+# below this many words a census runs in-process: starting a pool of two
+# workers costs more than it saves (on 2 cores, length 11 with 104,976
+# words took 64 ms pooled and 46 ms serial; length 12 with 314,928
+# words 93 ms pooled and 124 ms serial)
+_POOL_MIN_WORDS = 200_000
+
 
 def census(word_length: int, jobs: int | None = None,
            allow_large: bool = False) -> CensusReport:
     """Tally self-intersection numbers over all words of one length.
 
-    ``jobs`` selects the number of worker processes (default: the
-    ARC_JOBS environment variable, else the logical CPU count).  Lengths
-    above CENSUS_SIZE_LIMIT are refused unless ``allow_large`` is set.
+    ``jobs`` bounds the number of worker processes (default: the
+    ARC_JOBS environment variable, else the logical CPU count).  No pool
+    is started for a census of fewer than _POOL_MIN_WORDS words, where
+    one would cost more than it saves, and none holds more workers than
+    there are tasks.  Lengths above CENSUS_SIZE_LIMIT are refused unless
+    ``allow_large`` is set.
     """
     if word_length < 2:
         raise ValueError("a word has at least two symbols")
@@ -334,7 +259,7 @@ def census(word_length: int, jobs: int | None = None,
     else:
         tasks = [(word_length, start, first)
                  for start, first in _ORBIT_REPRESENTATIVES]
-        if jobs > 1:
+        if jobs > 1 and count_words(word_length) >= _POOL_MIN_WORDS:
             with Pool(min(jobs, len(tasks))) as pool:
                 parts = pool.map(_census_task_args, tasks)
         else:

@@ -197,21 +197,25 @@ def positivize(w: ArcWord) -> ArcWord:
     endpoint is left in place and flipped on a later round.  On a few
     words that block rewrite raises the self-intersection number; the
     word is then traversed backwards and flipped instead, which brought
-    the count back down in every such word of length up to 12
-    (exhaustive check).  Crossing counts and word length are always
-    preserved, and a word with no lowercase crossings at all is simply
-    traversed backwards.
+    the count back down in every such word of length up to 12.  That
+    is an empirical claim, checked exhaustively through length 12 by
+    the test suite; a word on which both rewrites raise the count
+    raises RuntimeError rather than being returned worse.  Crossing
+    counts and word length are always preserved, and a word with no
+    lowercase crossings at all is simply traversed backwards.
     """
     if not any(c & 1 for c in w.letters):
         return w
     if all(c & 1 for c in w.letters):
         return inverse(w)
-    flipped = _flip_blocks(w)
     # the crossing engine sits above this module, so fetch it lazily
     from .intersect import self_intersection
-    if self_intersection(flipped) <= self_intersection(w):
+    n = self_intersection(w)
+    flipped = _flip_blocks(w)
+    if self_intersection(flipped) <= n:
         return flipped
     other = _flip_blocks(inverse(w))
-    if self_intersection(other) <= self_intersection(flipped):
+    if self_intersection(other) <= n:
         return other
-    return flipped
+    raise RuntimeError(f"both positive rewrites of {w} raise its "
+                       "self-intersection number")

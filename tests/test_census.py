@@ -1,3 +1,4 @@
+import importlib
 import os
 from collections import Counter
 
@@ -5,7 +6,9 @@ import pytest
 
 from pantsarc.census import (
     BudgetExceeded,
+    CENSUS_SIZE_LIMIT,
     SIMPLE_WORDS,
+    _POOL_MIN_WORDS,
     _census_task,
     _first_letter_tasks,
     _resolve_jobs,
@@ -20,6 +23,9 @@ from pantsarc.census import (
 )
 from pantsarc.intersect import self_intersection
 from pantsarc.words import LETTER_CHARS, parse_word
+
+# the package re-exports the census function under the module's name
+census_module = importlib.import_module("pantsarc.census")
 
 # the (start, first crossing) tasks, grouped into their orbits under
 # relabelling (1 <-> 2, a <-> b) and mirroring (a <-> A, b <-> B)
@@ -83,6 +89,20 @@ def test_reference_covers_lengths_2_to_16():
 
 def test_census_is_deterministic_across_workers():
     assert census(8, jobs=1) == census(8, jobs=2)
+
+
+def test_census_pools_from_the_crossover(monkeypatch):
+    # the first length large enough for a pool, and the one below it
+    wl = next(wl for wl in range(2, CENSUS_SIZE_LIMIT + 1)
+              if count_words(wl) >= _POOL_MIN_WORDS)
+    started = []
+    pool = census_module.Pool
+    monkeypatch.setattr(census_module, "Pool",
+                        lambda n: started.append(n) or pool(n))
+    assert census(wl - 1, jobs=2) == census(wl - 1, jobs=1)
+    assert started == []
+    assert census(wl, jobs=2) == census(wl, jobs=1)
+    assert started == [2]
 
 
 def test_task_orbits_share_one_histogram(census_by_length):

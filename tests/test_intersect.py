@@ -1,3 +1,5 @@
+import itertools
+import multiprocessing
 import random
 
 import pytest
@@ -5,6 +7,7 @@ from hypothesis import given
 
 from pantsarc.census import enumerate_words, length_bounds
 from pantsarc.intersect import (
+    AlignmentOverrun,
     Chain,
     _strand_side,
     count_from_items,
@@ -128,6 +131,21 @@ def test_positivize_never_increases_crossings(w):
     assert self_intersection(positivize(w)) <= self_intersection(w)
 
 
+def _positivize_every_other(word_length, offset):
+    for w in itertools.islice(enumerate_words(word_length), offset, None, 2):
+        positivize(w)
+
+
+@pytest.mark.extended
+def test_positivize_never_increases_through_length_12():
+    # the exhaustive check the positivize docstring states; positivize
+    # raises on a word whose rewrites both raise the count, and the
+    # property sweep of the acceptance suite covers lengths up to 10
+    halves = [(wl, offset) for wl in (11, 12) for offset in (0, 1)]
+    with multiprocessing.get_context("spawn").Pool(2) as pool:
+        pool.starmap(_positivize_every_other, halves)
+
+
 @given(arc_words())
 def test_positive_words_meet_the_seam_floor(w):
     p = positivize(w)
@@ -178,6 +196,29 @@ def test_hyperbolic_oracle_agrees_on_samples(hyperbolic):
 
 
 def test_count_from_items_matches_wrapper():
-    w = parse_word("3aBaBaB1")
-    fr, to = endpoint_items(w.start, w.letters, w.end)
-    assert count_from_items(fr, to) == self_intersection(w)
+    # the stepped kernel against the chain walks behind trace, which
+    # share no code with it: every word through length 10, then long ones
+    rng = random.Random(4)
+    words = [w for wl in range(2, 11) for w in enumerate_words(wl)]
+    words += [random_word(rng, rng.randrange(50, 301)) for _ in range(20)]
+    for w in words:
+        fr, to = endpoint_items(w.start, w.letters, w.end)
+        assert count_from_items(fr, to) == trace(w).total, str(w)
+
+
+def test_non_reduced_words_are_rejected():
+    # hand-built words, parse_word bypassed: every start, end and letter
+    # string through 6 crossings, endpoint clashes included
+    for crossings in range(7):
+        for letters in itertools.product(range(4), repeat=crossings):
+            undone = next((k for k in range(1, crossings)
+                           if letters[k] == letters[k - 1] ^ 1), None)
+            for start, end in itertools.product((1, 2, 3), repeat=2):
+                w = ArcWord(start, letters, end)
+                if undone is None:
+                    assert self_intersection(w) == trace(w).total, str(w)
+                    continue
+                with pytest.raises(AlignmentOverrun) as err:
+                    self_intersection(w)
+                assert str(err.value).startswith(f"{w}: ")
+                assert f"(position {undone + 1})" in str(err.value)

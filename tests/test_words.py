@@ -104,6 +104,17 @@ def test_positivize_examples():
     assert str(positivize(parse_word("1BAB1"))) == "1bab1"
 
 
+def test_positivize_refuses_to_raise_the_count(monkeypatch):
+    import pantsarc.intersect
+
+    w = parse_word("1Bab3")
+    # an engine under which both rewrites of w cost more than w
+    monkeypatch.setattr(pantsarc.intersect, "self_intersection",
+                        lambda v: int(v != w))
+    with pytest.raises(RuntimeError, match="1Bab3"):
+        positivize(w)
+
+
 @given(arc_words())
 def test_positivize_lowers_every_crossing(w):
     p = positivize(w)
