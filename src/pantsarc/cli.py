@@ -61,8 +61,8 @@ def _cmd_validate(args):
 def _cmd_intersect(args):
     w = parse_word(args.word)
     if not args.trace:
-        _print({"word": str(w), "i": self_intersection(w)},
-               args, f"i({w}) = {self_intersection(w)}")
+        i = self_intersection(w)
+        _print({"word": str(w), "i": i}, args, f"i({w}) = {i}")
         return OK
     t = trace(w)
     grid = {f"{i},{j}": t.cells[(i, j)] for i, j in sorted(t.cells)}

@@ -34,23 +34,36 @@ with the same tables and the same rule.
 
 The steps presume a reduced word.  A crossing undone by its reverse
 leaves a segment that starts and ends on one side, where a chain can
-collide with itself; the count rejects such a word with
-AlignmentOverrun before it prices any pair.  The strands of a reduced
+collide with itself; the count, ``trace`` and ``resolve_chain`` reject
+such a word with AlignmentOverrun before they look at any pair.  The strands of a reduced
 word never collide: that needs to[P] == fr[Q] with Q - P <= 2, but a
 segment starts on the far side of the cutting arc its predecessor ends
 on, and Q - P == 2 needs a letter followed by its inverse.
 
-``trace`` and ``resolve_chain`` walk each chain member by member
-instead, to show which pairs it drags along; the trace grid puts a
-chain's digit at its forward-most member.
+``trace`` keeps the whole pair grid, and puts a chain's digit at its
+forward-most member, the one with the largest smaller index.  It steps
+rows instead of columns, because a row completes both kinds of chain
+exactly there.  Row p holds one residual byte per later segment q:
+q's shape plus, in bit 6, the rear verdict of the chain through
+(p, q).  A parallel chain runs on from (p - 1, q - 1) and an
+antiparallel one from (p - 1, q + 1), so row p is one translate
+through the row step table of the shape of p - 1, plus a few shifts,
+away from row p - 1; one more translate, through the code row of p's
+shape, writes row p's cells as the ASCII bytes 0, 1 and X.  At most
+one chain merges into a boundary stretch at both word ends: the chain
+through (0, T - 1), when fr[0] == to[T - 1].  Its rear verdict means
+nothing, so ``trace`` sets its terminal cell to 0 after the pass.
+Only ``resolve_chain`` still walks a chain member by member, to list
+the pairs it drags along.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
-from .planar import DECISIONS, ITEM_LABELS, Segment, endpoint_items
+from .planar import DECISIONS, ITEM_LABELS, endpoint_items
 from .words import ArcWord
 
 
@@ -65,11 +78,7 @@ def self_intersection(w: ArcWord) -> int:
     Raises AlignmentOverrun, naming the word, for a word with a crossing
     undone by its reverse (one built without ``parse_word``).
     """
-    fr, to = endpoint_items(w.start, w.letters, w.end)
-    try:
-        return count_from_items(fr, to)
-    except AlignmentOverrun as exc:
-        raise AlignmentOverrun(f"{w}: {exc}") from None
+    return _count(_word_items(w)[2])
 
 
 # a residual byte describes an earlier segment p as seen from segment
@@ -82,6 +91,31 @@ _UNCHAINED = bytes((0, 1)).ljust(256, b"\0")
 
 # shapes of the segments that start and end on one cutting-arc side
 _SAME_SIDE = frozenset(item << 3 | item for item in range(0, 8, 2))
+
+
+def _segment_shapes(fr, to):
+    """The shape fr << 3 | to of each segment.
+
+    Raises AlignmentOverrun, naming the position, when a segment starts
+    and ends on the same side, that is, when a crossing is undone by its
+    reverse.
+    """
+    sc = [f << 3 | t for f, t in zip(fr, to)]
+    if not _SAME_SIDE.isdisjoint(sc):
+        k = next(k for k, s in enumerate(sc) if s in _SAME_SIDE)
+        raise AlignmentOverrun(f"crossing {ITEM_LABELS[to[k]]!r} undoes "
+                               f"the previous one (position {k + 1})")
+    return sc
+
+
+def _word_items(w: ArcWord):
+    """The endpoint items and the segment shapes of ``w``;
+    AlignmentOverrun names the word."""
+    fr, to = endpoint_items(w.start, w.letters, w.end)
+    try:
+        return fr, to, _segment_shapes(fr, to)
+    except AlignmentOverrun as exc:
+        raise AlignmentOverrun(f"{w}: {exc}") from None
 
 
 def _price_row(cs):
@@ -151,21 +185,86 @@ def _kernel_tables():
             tuple(_price_row(shape) for shape in range(64)))
 
 
+def _rear_verdict(fp, tp, fq, tq, carried):
+    """Rear verdict of the chain through the undecidable pair (p, q) of
+    shapes fp << 3 | tp and fq << 3 | tq: ``carried``, the verdict
+    handed on from row p - 1, when the chain runs on rearward, else the
+    verdict read off at (p, q), its rear end."""
+    if fp == fq or fp == tq:
+        return carried
+    # parallel strands share to[p] == to[q], antiparallel ones
+    # to[p] == fr[q]
+    return _strand_side(tp, True, fp, fq if tp == tq else tq)
+
+
+def _code_row(ps):
+    """The trace cell of the pair (p, q), as the ASCII byte 0, 1 or X,
+    per residual byte of q in row p, when segment p has shape ps."""
+    fp, tp = ps >> 3, ps & 7
+    decided = DECISIONS[ps << 6:(ps + 1) << 6]
+    row = bytearray(256)
+    for shape in range(64):
+        fq, tq = shape >> 3, shape & 7
+        for carried in (0, 1):
+            if decided[shape] < 2:
+                cell = decided[shape]
+            elif tp == tq or tp == fq:
+                # the chain runs on through row p + 1
+                cell = 2
+            else:
+                # forward-most member: parallel strands share
+                # fr[p] == fr[q], antiparallel ones fr[p] == to[q]
+                front = _strand_side(fp, False, tp, tq if fp == fq else fq)
+                cell = int(_rear_verdict(fp, tp, fq, tq, carried) != front)
+            row[shape | carried << 6] = b"01X"[cell]
+    return bytes(row)
+
+
+def _trace_step_row(ps):
+    """What the residual byte of q in row p, when segment p has shape
+    ps, settles of row p + 1.
+
+    Bits 0-5 keep q's shape.  A parallel chain through (p, q) runs on
+    through (p + 1, q + 1) exactly when to[p] == to[q], and its rear
+    verdict goes to bit 7; an antiparallel one runs on through
+    (p + 1, q - 1) exactly when to[p] == fr[q], and its rear verdict
+    goes to bit 6.
+    """
+    fp, tp = ps >> 3, ps & 7
+    row = bytearray(256)
+    for shape in range(64):
+        fq, tq = shape >> 3, shape & 7
+        for carried in (0, 1):
+            out = shape
+            if tp == tq or tp == fq:
+                rear = _rear_verdict(fp, tp, fq, tq, carried)
+                out |= rear << 7 if tp == tq else rear << 6
+            row[shape | carried << 6] = out
+    return bytes(row)
+
+
+@functools.cache
+def _trace_tables():
+    """The row step and code tables of ``trace``, one row per segment
+    shape, built on first use."""
+    return (tuple(_trace_step_row(shape) for shape in range(64)),
+            tuple(_code_row(shape) for shape in range(64)))
+
+
 def count_from_items(fr, to):
     """Self-intersection count from raw per-segment endpoint items.
 
-    Raises AlignmentOverrun when a segment other than a bare word's
-    single one starts and ends on the same side, that is, when a
-    crossing is undone by its reverse.
+    Raises AlignmentOverrun when a segment starts and ends on the same
+    side, that is, when a crossing is undone by its reverse.
     """
-    T = len(fr)
+    return _count(_segment_shapes(fr, to))
+
+
+def _count(sc):
+    """Self-intersection count from the segment shapes of a reduced word."""
+    T = len(sc)
     if T < 2:
         return 0
-    sc = [f << 3 | t for f, t in zip(fr, to)]
-    if not _SAME_SIDE.isdisjoint(sc):
-        k = next(k for k, s in enumerate(sc) if s in _SAME_SIDE)
-        raise AlignmentOverrun(f"crossing {ITEM_LABELS[to[k]]!r} undoes "
-                               f"the previous one (position {k + 1})")
     steps, prices = _kernel_tables()
     from_bytes = int.from_bytes
     # fields of a stepped residual read as one little-endian integer
@@ -267,12 +366,12 @@ def resolve_chain(w: ArcWord, i: int, j: int) -> Chain:
     carrying its own verdict; an undecidable pair drags in the whole
     chain it belongs to.
     """
-    fr, to = endpoint_items(w.start, w.letters, w.end)
-    T = len(fr)
+    fr, to, sc = _word_items(w)
+    T = len(sc)
     if not (1 <= i < j <= T):
         raise ValueError(f"need 1 <= i < j <= {T}, got ({i}, {j})")
     p, q = i - 1, j - 1
-    c = DECISIONS[(fr[p] << 3 | to[p]) << 6 | fr[q] << 3 | to[q]]
+    c = DECISIONS[sc[p] << 6 | sc[q]]
     if c != 2:
         return Chain(((i, j),), False, False, c)
     members, parallel, free, decision = _walk_chain(fr, to, T, p, q)
@@ -310,26 +409,37 @@ class Trace:
 
 
 def trace(w: ArcWord) -> Trace:
-    """Evaluate the word and keep the whole pair grid for inspection."""
-    fr, to = endpoint_items(w.start, w.letters, w.end)
-    T = len(fr)
-    dec = DECISIONS
-    cells = {}
-    total = 0
-    for p in range(T - 1):
-        for q in range(p + 1, T):
-            if (p, q) in cells:
-                continue
-            c = dec[(fr[p] << 3 | to[p]) << 6 | fr[q] << 3 | to[q]]
-            if c < 2:
-                cells[(p, q)] = "01"[c]
-                total += c
-                continue
-            members, _, _, decision = _walk_chain(fr, to, T, p, q)
-            for pair in members[:-1]:
-                cells[pair] = "X"
-            cells[members[-1]] = "01"[decision]
-            total += decision
-    labels = tuple([Segment(f, t).label() for f, t in zip(fr, to)])
-    shifted = {(p + 1, q + 1): v for (p, q), v in cells.items()}
-    return Trace(str(w), labels, shifted, total)
+    """Evaluate the word and keep the whole pair grid for inspection.
+
+    Raises AlignmentOverrun, naming the word, for a word with a crossing
+    undone by its reverse.
+    """
+    sc = _word_items(w)[2]
+    T = len(sc)
+    steps, codes = _trace_tables()
+    from_bytes = int.from_bytes
+    ones = from_bytes(b"\x01" * T, "little")
+    own, ahead, behind = ones * 0x3f, ones << 7, ones << 6
+    # row 0: no chain runs on into it except the free one, fixed below
+    residual = bytes(sc[1:])
+    rows = [residual.translate(codes[sc[0]])]
+    for p in range(1, T - 1):
+        # q's shape comes from byte q of row p - 1, a parallel rear
+        # verdict from byte q - 1 and an antiparallel one from byte
+        # q + 1; the last byte never sets bit 7, since to[T - 1] is a
+        # boundary stretch, so the row shrinks by one byte
+        y = from_bytes(residual.translate(steps[sc[p - 1]]), "little")
+        residual = (y >> 8 & own | (y & ahead) >> 1
+                    | y >> 16 & behind).to_bytes(T - 1 - p, "little")
+        rows.append(residual.translate(codes[sc[p]]))
+    grid = bytearray().join(rows)
+    if T > 1 and sc[0] >> 3 == sc[-1] & 7:
+        # the chain through (0, T - 1) merges into one boundary stretch
+        # at both word ends and is never charged
+        p, q = 0, T - 1
+        while sc[p] & 7 == sc[q] >> 3:
+            p, q = p + 1, q - 1
+        grid[p * (2 * T - p - 1) // 2 + q - p - 1] = ord("0")
+    cells = dict(zip(itertools.combinations(range(1, T + 1), 2), grid.decode()))
+    labels = tuple([ITEM_LABELS[s >> 3] + ITEM_LABELS[s & 7] for s in sc])
+    return Trace(str(w), labels, cells, grid.count(b"1"))

@@ -168,9 +168,12 @@ def is_positive(w: ArcWord) -> bool:
 def _flip_blocks(w: ArcWord) -> ArcWord:
     xs = list(w.letters)
     last = len(xs) - 1
+    lo = 0
     while True:
-        lo = next((k for k, c in enumerate(xs) if c & 1), None)
-        if lo is None:
+        # every letter before the previous block's start is lowercase
+        while lo <= last and not xs[lo] & 1:
+            lo += 1
+        if lo > last:
             break
         hi = lo
         while hi < last and xs[hi + 1] & 1:

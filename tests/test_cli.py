@@ -1,9 +1,12 @@
+import hashlib
 import json
 
 import pytest
 
+from pantsarc import cli
 from pantsarc.census import count_words, enumerate_words
 from pantsarc.cli import main
+from pantsarc.lowlying import witness
 
 
 def run(capsys, *argv):
@@ -39,6 +42,42 @@ def test_intersect_trace_text_shows_grid(capsys):
     _, out, _ = run(capsys, "intersect", "1BABA2", "--trace", "--format", "text")
     assert "total = 2" in out
     assert "w1=1B" in out
+
+
+# sha256 of the stdout of `intersect WORD --trace`, JSON and text
+TRACE_SHA256 = {
+    "1BABA2": ("21a0a011fbcc59bf886e3333bddfff4c1829741bb16b996fbbabfdf0e69714f3",
+               "eaccc65aa398bb4e4f35d11a394109cd783ddbe3d0ee6d331192c559b268d19b"),
+    "1baB1": ("ee326aa8473711d1d72bda417e607eb29abe9d9dd307d9b055e9b9fc996f482f",
+              "2fcba8f48096ac350a7c29e70306e6d1db415acc1d4d92ec9a05238554e363f9"),
+    # the witness word for N = 1000
+    "witness": ("18365f65d3f3c5df92ee66bd28debfe055509b425e33f00cc25c501afb003ca8",
+                "14ddccf5cf85b09643323eea9994cbb5d67e065e1e7ae1d000a0440a66f3707e"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_SHA256))
+def test_intersect_trace_bytes_are_stable(capsys, name):
+    word = str(witness(1000).word) if name == "witness" else name
+    for fmt, want in zip(("json", "text"), TRACE_SHA256[name]):
+        code, out, _ = run(capsys, "intersect", word, "--trace", "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == want, (name, fmt)
+
+
+@pytest.mark.parametrize("fmt", ("json", "text"))
+def test_intersect_prices_the_word_once(capsys, monkeypatch, fmt):
+    calls = []
+    price = cli.self_intersection
+
+    def counting(w):
+        calls.append(w)
+        return price(w)
+
+    monkeypatch.setattr(cli, "self_intersection", counting)
+    code, out, _ = run(capsys, "intersect", "1BABA2", "--format", fmt)
+    assert code == 0 and "2" in out
+    assert len(calls) == 1
 
 
 def test_validate(capsys):

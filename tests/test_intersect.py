@@ -195,15 +195,62 @@ def test_hyperbolic_oracle_agrees_on_samples(hyperbolic):
             assert oracle_modular.self_intersection(str(mirror), hyperbolic) == n, str(w)
 
 
+def _chains(w):
+    """Every chain of the word, each resolved once by walking it member
+    by member from the first of its pairs met row by row."""
+    T = len(w.letters) + 1
+    chains, seen = [], set()
+    for pair in itertools.combinations(range(1, T + 1), 2):
+        if pair not in seen:
+            chain = resolve_chain(w, *pair)
+            assert seen.isdisjoint(chain.members), (str(w), pair)
+            seen.update(chain.members)
+            chains.append(chain)
+    return chains
+
+
 def test_count_from_items_matches_wrapper():
-    # the stepped kernel against the chain walks behind trace, which
-    # share no code with it: every word through length 10, then long ones
+    # the stepped count against trace's row-stepped grid, which shares
+    # only the decision table with it, on every word through length 10
+    # and on long words; and against the chain walks behind
+    # resolve_chain, which share no table with either, on every word
+    # through length 8 and on random words of lengths 11-30
     rng = random.Random(4)
     words = [w for wl in range(2, 11) for w in enumerate_words(wl)]
     words += [random_word(rng, rng.randrange(50, 301)) for _ in range(20)]
-    for w in words:
+    walked = [w for wl in range(2, 9) for w in enumerate_words(wl)]
+    walked += [random_word(rng, rng.randrange(11, 31)) for _ in range(20)]
+    for w in words + walked[-20:]:
         fr, to = endpoint_items(w.start, w.letters, w.end)
         assert count_from_items(fr, to) == trace(w).total, str(w)
+    for w in walked:
+        fr, to = endpoint_items(w.start, w.letters, w.end)
+        assert count_from_items(fr, to) == sum(
+            chain.decision for chain in _chains(w)), str(w)
+
+
+def test_trace_cells_follow_the_chain_walks():
+    # every cell of every word through length 9: "X" exactly on a
+    # chain's members other than its terminal, the chain's verdict there
+    for wl in range(2, 10):
+        for w in enumerate_words(wl):
+            cells = trace(w).cells
+            chains = _chains(w)
+            assert sum(len(chain.members) for chain in chains) == len(cells)
+            for chain in chains:
+                for pair in chain.members:
+                    want = str(chain.decision) if pair == chain.terminal else "X"
+                    assert cells[pair] == want, (str(w), pair)
+
+
+def test_free_chain_is_never_charged():
+    # 1baB1 starts and ends on the boundary-1 stretch: the chain through
+    # (1, 4) merges into it at both word ends and carries a 0 at (2, 3)
+    t = trace(parse_word("1baB1"))
+    assert t.cells[(1, 4)] == "X"
+    assert t.cells[(2, 3)] == "0"
+    chain = resolve_chain(parse_word("1baB1"), 1, 4)
+    assert chain.free_end and chain.members == ((1, 4), (2, 3))
 
 
 def test_non_reduced_words_are_rejected():
@@ -218,7 +265,9 @@ def test_non_reduced_words_are_rejected():
                 if undone is None:
                     assert self_intersection(w) == trace(w).total, str(w)
                     continue
-                with pytest.raises(AlignmentOverrun) as err:
-                    self_intersection(w)
-                assert str(err.value).startswith(f"{w}: ")
-                assert f"(position {undone + 1})" in str(err.value)
+                for call in (self_intersection, trace,
+                             lambda w: resolve_chain(w, 1, 2)):
+                    with pytest.raises(AlignmentOverrun) as err:
+                        call(w)
+                    assert str(err.value).startswith(f"{w}: ")
+                    assert f"(position {undone + 1})" in str(err.value)
