@@ -178,10 +178,6 @@ def _census_task(word_length, start, first):
     return hist
 
 
-def _census_task_args(args):
-    return _census_task(*args)
-
-
 @dataclass(frozen=True)
 class CensusReport:
     """Distribution of self-intersection numbers at one word length."""
@@ -261,7 +257,7 @@ def census(word_length: int, jobs: int | None = None,
                  for start, first in _ORBIT_REPRESENTATIVES]
         if jobs > 1 and count_words(word_length) >= _POOL_MIN_WORDS:
             with Pool(min(jobs, len(tasks))) as pool:
-                parts = pool.map(_census_task_args, tasks)
+                parts = pool.starmap(_census_task, tasks)
         else:
             parts = [_census_task(*t) for t in tasks]
         hist = Counter()

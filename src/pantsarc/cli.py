@@ -65,7 +65,7 @@ def _cmd_intersect(args):
         _print({"word": str(w), "i": i}, args, f"i({w}) = {i}")
         return OK
     t = trace(w)
-    grid = {f"{i},{j}": t.cells[(i, j)] for i, j in sorted(t.cells)}
+    grid = {f"{i},{j}": cell for (i, j), cell in t.cells.items()}
     payload = {"word": t.word, "i": t.total,
                "segments": list(t.labels), "grid": grid}
     _print(payload, args, t.render())

@@ -14,6 +14,13 @@ Within a chain the two strands either run in the same direction along
 the word (parallel) or in opposite directions (antiparallel); which
 one is forced by how the shared side is approached.
 
+One rule settles every chain: ``_chain_ends`` gives, for an
+undecidable pair, whether its strands run parallel and the verdict at
+each end of its chain that lies at the pair, through ``_strand_side``
+alone.  Every byte table below is built from it.  Only
+``resolve_chain`` still walks a chain member by member, through
+``_walk_chain``, to list the pairs it drags along.
+
 The count charges each chain once, at the member whose larger segment
 index is largest, because that member is reached last: the
 forward-most member of a parallel chain, the rearmost member of an
@@ -21,16 +28,14 @@ antiparallel one.  A chain that merges into a boundary stretch is
 never charged, which is also its correct price.  The count runs along
 the word one segment s at a time and sees every earlier segment p as a
 *residual byte*: p's 6-bit shape fr << 3 | to plus, in bit 6, the
-verdict at the end of p's chain with s that does not read to[s] (the
-rear end of a parallel chain, the front end of an antiparallel one).
+verdict at the end of p's chain with s that does not read to[s].
 What all pairs (p, s) add is one ``bytes.translate`` of the residual
-through the price row of s's shape and a count of the ones.  No chain
-is walked: the chain through (p, s) runs on through (p - 1, s - 1) or
-(p + 1, s - 1), so the residual seen from s is one translate through
-the step row of the shape of s - 1, plus a few shifts, away from the
-residual seen from s - 1.  Both loops run in C; a word of T segments
-takes T steps of T bytes.  The census module prices its search trees
-with the same tables and the same rule.
+through the price row of s's shape and a count of the ones.  The chain
+through (p, s) runs on through (p - 1, s - 1) or (p + 1, s - 1), so
+the residual seen from s is one translate through the step row of the
+shape of s - 1, plus a few shifts, away from the residual seen from
+s - 1.  A word of T segments takes T steps of T bytes, all in C.  The
+census module prices its search trees with the same tables.
 
 The steps presume a reduced word.  A crossing undone by its reverse
 leaves a segment that starts and ends on one side, where a chain can
@@ -41,20 +46,16 @@ segment starts on the far side of the cutting arc its predecessor ends
 on, and Q - P == 2 needs a letter followed by its inverse.
 
 ``trace`` keeps the whole pair grid, and puts a chain's digit at its
-forward-most member, the one with the largest smaller index.  It steps
-rows instead of columns, because a row completes both kinds of chain
-exactly there.  Row p holds one residual byte per later segment q:
-q's shape plus, in bit 6, the rear verdict of the chain through
-(p, q).  A parallel chain runs on from (p - 1, q - 1) and an
-antiparallel one from (p - 1, q + 1), so row p is one translate
-through the row step table of the shape of p - 1, plus a few shifts,
-away from row p - 1; one more translate, through the code row of p's
-shape, writes row p's cells as the ASCII bytes 0, 1 and X.  At most
-one chain merges into a boundary stretch at both word ends: the chain
-through (0, T - 1), when fr[0] == to[T - 1].  Its rear verdict means
-nothing, so ``trace`` sets its terminal cell to 0 after the pass.
-Only ``resolve_chain`` still walks a chain member by member, to list
-the pairs it drags along.
+forward-most member.  It steps rows instead of columns, because a row
+completes both kinds of chain exactly there.  Row p holds one residual
+byte per later segment q, with the rear verdict of the chain through
+(p, q) in bit 6; it is one translate through the row step table of the
+shape of p - 1, plus a few shifts, away from row p - 1, and one more
+translate, through the code row of p's shape, writes its cells as the
+ASCII bytes 0, 1 and X.  At most one chain merges into a boundary
+stretch at both word ends: the chain through (0, T - 1), when
+fr[0] == to[T - 1].  Its rear verdict means nothing, so ``trace`` sets
+its terminal cell to 0 after the pass.
 """
 
 from __future__ import annotations
@@ -80,14 +81,6 @@ def self_intersection(w: ArcWord) -> int:
     """
     return _count(_word_items(w)[2])
 
-
-# a residual byte describes an earlier segment p as seen from segment
-# s: the shape fr[p] << 3 | to[p] in bits 0-5 and, in this bit, the
-# verdict at the end of p's chain with s that no choice of to[s] moves
-_SHARED = 64
-
-# decided verdicts kept, undecidable pairs cleared
-_UNCHAINED = bytes((0, 1)).ljust(256, b"\0")
 
 # shapes of the segments that start and end on one cutting-arc side
 _SAME_SIDE = frozenset(item << 3 | item for item in range(0, 8, 2))
@@ -118,137 +111,117 @@ def _word_items(w: ArcWord):
         raise AlignmentOverrun(f"{w}: {exc}") from None
 
 
-def _price_row(cs):
-    """What the pair (p, s) adds, per residual byte of p, when segment s
-    has shape cs: the decided verdict, 0 for a chain charged at another
-    member, else the chain's verdict, in the branch order of the rule."""
-    fs, ts = cs >> 3, cs & 7
-    decided = DECISIONS[cs::64]
-    row = bytearray(256)
-    row[:64] = row[64:128] = decided.translate(_UNCHAINED)
-    for shape in range(64):
-        fp, tp = shape >> 3, shape & 7
-        if decided[shape] < 2 or tp == ts:
-            # decided, or parallel strands that continue forward
-            continue
-        if fp == fs:
-            # forward-most member of a parallel chain; the shared bit
-            # is the rear verdict
-            front = (ts - fp) % 8 > (tp - fp) % 8
-            row[shape], row[shape | _SHARED] = front, not front
-        elif fp != ts:
-            # rearmost member of an antiparallel chain; the shared bit
-            # is the front verdict (with fp == ts the strands continue
-            # rearward, or merge into one boundary stretch)
-            rear = (ts - tp) % 8 < (fp - tp) % 8
-            row[shape], row[shape | _SHARED] = rear, not rear
-    return bytes(row)
+def _strand_side(shared, into, item1, item2):
+    if item1 == item2:
+        raise ValueError("strands at the same item have not diverged")
+    r1 = (item1 - shared) % 8
+    r2 = (item2 - shared) % 8
+    return (r2 < r1) if into else (r2 > r1)
 
 
-def _step_row(qs):
-    """What the residual byte of p seen from segment q = s - 1, of shape
-    qs, settles of the residual seen from segment s.
+# a step row before any chain runs on through it: every residual byte
+# keeps its shape and hands on no verdict
+_KEPT = (bytes(range(64)) * 2).ljust(256, b"\0")
 
-    A segment starts on the far side of the cutting arc its predecessor
-    ends on, so fr[x + 1] == fr[s] exactly when to[x] == to[q].  Bits
-    0-5 keep p's shape.  Bit 7 is the shared (rear) verdict of the
-    parallel chain whose forward-most member is (p + 1, s), and bit 6
-    the shared (front) verdict of the antiparallel chain whose rearmost
-    member is (p - 1, s).  Each chain runs on through (p, q), whose
-    shared bit it copies, or diverges there, where it is read off.
+# the ASCII trace cell of each pair decision
+_CELLS = b"01X".ljust(256, b"\0")
+
+
+def _chain_ends(ps, qs):
+    """The chain through the undecidable pair (p, q), p < q, of shapes ps
+    and qs: whether its strands run parallel, and the verdict at its
+    rear end and at its front end, each None where the chain runs on
+    past (p, q) instead of ending there.  The strands share an item at
+    (p, q), so the chain runs on past it at least one way, and at least
+    one of the two is None.
+
+    At the rear end the strands share to[p] and part at fr[p] and fr[q]
+    (parallel) or to[q] (antiparallel); at the front end they share
+    fr[p] and part at to[p] and to[q] (parallel) or fr[q]
+    (antiparallel).  The whole chain adds one crossing exactly when the
+    two verdicts differ.
     """
-    fq, tq = qs >> 3, qs & 7
-    row = bytearray(256)
-    for shape in range(64):
-        fp, tp = shape >> 3, shape & 7
-        out, copied = shape, 0
-        if tp == tq:
-            if fp == fq:
-                copied |= 128
-            elif (fq - tp) % 8 < (fp - tp) % 8:
-                out |= 128
-        if fp == tq:
-            if tp == fq:
-                copied |= 64
-            elif (fq - fp) % 8 > (tp - fp) % 8:
-                out |= 64
-        row[shape] = out
-        row[shape | _SHARED] = out | copied
-    return bytes(row)
+    fp, tp, fq, tq = ps >> 3, ps & 7, qs >> 3, qs & 7
+    parallel = tp == tq or fp == fq
+    at_rear, at_front = (fq, tq) if parallel else (tq, fq)
+    rear = None if fp == at_rear else _strand_side(tp, True, fp, at_rear)
+    front = None if tp == at_front else _strand_side(fp, False, tp, at_front)
+    return parallel, rear, front
+
+
+def _column_rows(qs):
+    """The count's step and price rows of a segment of shape qs, indexed
+    by the residual byte of an earlier segment p.
+
+    Priced as segment s, the pair (p, s) adds its decided verdict, or,
+    where its chain ends here at the end that reads to[s] (the front end
+    of a parallel chain, the rear end of an antiparallel one), whether
+    that verdict differs from bit 6, the verdict at the other end;
+    elsewhere on a chain it adds 0.  Stepped as segment q = s - 1, the
+    byte keeps p's shape and hands the other end's verdict of every
+    chain that runs on through (p, q) to its member in column s: in
+    bit 7 for the parallel chain through (p + 1, s), in bit 6 for the
+    antiparallel one through (p - 1, s).
+    """
+    decided = DECISIONS[qs::64]
+    step = bytearray(_KEPT)
+    price = bytearray((decided * 2).ljust(256, b"\0"))
+    for ps in range(64):
+        if decided[ps] < 2:
+            continue
+        parallel, rear, front = _chain_ends(ps, qs)
+        # the end that reads this segment's to, and the one bit 6 holds
+        here, there = (front, rear) if parallel else (rear, front)
+        for x in (ps, ps | 64):
+            far = x >> 6 if there is None else there
+            if here is None:
+                price[x] = 0
+                step[x] |= far << 7 if parallel else far << 6
+            else:
+                price[x] = far != here
+    return bytes(step), bytes(price)
 
 
 @functools.cache
 def _kernel_tables():
     """The step and price tables, one row per segment shape, built on
     first use."""
-    return (tuple(_step_row(shape) for shape in range(64)),
-            tuple(_price_row(shape) for shape in range(64)))
+    return tuple(zip(*map(_column_rows, range(64))))
 
 
-def _rear_verdict(fp, tp, fq, tq, carried):
-    """Rear verdict of the chain through the undecidable pair (p, q) of
-    shapes fp << 3 | tp and fq << 3 | tq: ``carried``, the verdict
-    handed on from row p - 1, when the chain runs on rearward, else the
-    verdict read off at (p, q), its rear end."""
-    if fp == fq or fp == tq:
-        return carried
-    # parallel strands share to[p] == to[q], antiparallel ones
-    # to[p] == fr[q]
-    return _strand_side(tp, True, fp, fq if tp == tq else tq)
+def _trace_rows(ps):
+    """Trace's row step and code rows of a segment p of shape ps, indexed
+    by the residual byte of a later segment q in row p.
 
-
-def _code_row(ps):
-    """The trace cell of the pair (p, q), as the ASCII byte 0, 1 or X,
-    per residual byte of q in row p, when segment p has shape ps."""
-    fp, tp = ps >> 3, ps & 7
-    decided = DECISIONS[ps << 6:(ps + 1) << 6]
-    row = bytearray(256)
-    for shape in range(64):
-        fq, tq = shape >> 3, shape & 7
-        for carried in (0, 1):
-            if decided[shape] < 2:
-                cell = decided[shape]
-            elif tp == tq or tp == fq:
-                # the chain runs on through row p + 1
-                cell = 2
-            else:
-                # forward-most member: parallel strands share
-                # fr[p] == fr[q], antiparallel ones fr[p] == to[q]
-                front = _strand_side(fp, False, tp, tq if fp == fq else fq)
-                cell = int(_rear_verdict(fp, tp, fq, tq, carried) != front)
-            row[shape | carried << 6] = b"01X"[cell]
-    return bytes(row)
-
-
-def _trace_step_row(ps):
-    """What the residual byte of q in row p, when segment p has shape
-    ps, settles of row p + 1.
-
-    Bits 0-5 keep q's shape.  A parallel chain through (p, q) runs on
-    through (p + 1, q + 1) exactly when to[p] == to[q], and its rear
-    verdict goes to bit 7; an antiparallel one runs on through
-    (p + 1, q - 1) exactly when to[p] == fr[q], and its rear verdict
-    goes to bit 6.
+    The code row writes the pair (p, q) as the ASCII byte 0, 1 or X: its
+    decided verdict, X where its chain runs on forward, else whether the
+    chain's rear verdict (bit 6 where it runs on rearward) differs from
+    its front verdict.  The step row keeps q's shape and hands the rear
+    verdict of a chain that runs on forward to its member in row p + 1:
+    in bit 7 for a parallel chain, through (p + 1, q + 1), in bit 6 for
+    an antiparallel one, through (p + 1, q - 1).
     """
-    fp, tp = ps >> 3, ps & 7
-    row = bytearray(256)
-    for shape in range(64):
-        fq, tq = shape >> 3, shape & 7
-        for carried in (0, 1):
-            out = shape
-            if tp == tq or tp == fq:
-                rear = _rear_verdict(fp, tp, fq, tq, carried)
-                out |= rear << 7 if tp == tq else rear << 6
-            row[shape | carried << 6] = out
-    return bytes(row)
+    decided = DECISIONS[ps << 6:(ps + 1) << 6]
+    step = bytearray(_KEPT)
+    code = bytearray((decided.translate(_CELLS) * 2).ljust(256, b"\0"))
+    for qs in range(64):
+        if decided[qs] < 2:
+            continue
+        parallel, rear, front = _chain_ends(ps, qs)
+        for x in (qs, qs | 64):
+            back = x >> 6 if rear is None else rear
+            if front is None:
+                step[x] |= back << 7 if parallel else back << 6
+            else:
+                code[x] = b"01"[back != front]
+    return bytes(step), bytes(code)
 
 
 @functools.cache
 def _trace_tables():
     """The row step and code tables of ``trace``, one row per segment
     shape, built on first use."""
-    return (tuple(_trace_step_row(shape) for shape in range(64)),
-            tuple(_code_row(shape) for shape in range(64)))
+    return tuple(zip(*map(_trace_rows, range(64))))
 
 
 def count_from_items(fr, to):
@@ -298,14 +271,6 @@ class Chain:
     def terminal(self):
         """The forward-most member, which carries the chain's digit."""
         return self.members[-1]
-
-
-def _strand_side(shared, into, item1, item2):
-    if item1 == item2:
-        raise ValueError("strands at the same item have not diverged")
-    r1 = (item1 - shared) % 8
-    r2 = (item2 - shared) % 8
-    return (r2 < r1) if into else (r2 > r1)
 
 
 def _walk_chain(fr, to, T, p0, q0):

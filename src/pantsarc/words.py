@@ -35,11 +35,6 @@ def invert_code(code: int) -> int:
     return code ^ 1
 
 
-def letter_family(code: int) -> int:
-    """0 for crossings of cutting arc a, 1 for cutting arc b."""
-    return code >> 1
-
-
 class WordError(ValueError):
     """Rejected word text; ``position`` indexes the offending character."""
 

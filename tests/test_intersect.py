@@ -211,10 +211,11 @@ def _chains(w):
 
 def test_count_from_items_matches_wrapper():
     # the stepped count against trace's row-stepped grid, which shares
-    # only the decision table with it, on every word through length 10
-    # and on long words; and against the chain walks behind
-    # resolve_chain, which share no table with either, on every word
-    # through length 8 and on random words of lengths 11-30
+    # the decision table and the chain-end rule _chain_ends with it but
+    # no step, on every word through length 10 and on long words; and
+    # against the chain walks behind resolve_chain, which share only
+    # _strand_side with either, on every word through length 8 and on
+    # random words of lengths 11-30
     rng = random.Random(4)
     words = [w for wl in range(2, 11) for w in enumerate_words(wl)]
     words += [random_word(rng, rng.randrange(50, 301)) for _ in range(20)]
