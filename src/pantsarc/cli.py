@@ -16,7 +16,6 @@ from .intersect import self_intersection, trace
 from .census import CENSUS_SIZE_LIMIT, census, count_words, enumerate_words
 from .lowlying import (
     FAMILIES,
-    UnsupportedFamily,
     _COVER_FAMILIES,
     _SPORADIC_VALUES,
     continued_fraction_value,
@@ -344,9 +343,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (WordError, UnsupportedFamily) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE

@@ -17,9 +17,10 @@ one is forced by how the shared side is approached.
 One rule settles every chain: ``_chain_ends`` gives, for an
 undecidable pair, whether its strands run parallel and the verdict at
 each end of its chain that lies at the pair, through ``_strand_side``
-alone.  Every byte table below is built from it.  Only
-``resolve_chain`` still walks a chain member by member, through
-``_walk_chain``, to list the pairs it drags along.
+alone.  Every byte table below is built from it.  ``resolve_chain``
+walks a chain member by member, through ``_walk_chain``, to list the
+pairs it drags along; ``trace`` walks only the one chain that can merge
+into a boundary stretch at both word ends, in O(T).
 
 The count charges each chain once, at the member whose larger segment
 index is largest, because that member is reached last: the
@@ -34,8 +35,9 @@ through the price row of s's shape and a count of the ones.  The chain
 through (p, s) runs on through (p - 1, s - 1) or (p + 1, s - 1), so
 the residual seen from s is one translate through the step row of the
 shape of s - 1, plus a few shifts, away from the residual seen from
-s - 1.  A word of T segments takes T steps of T bytes, all in C.  The
-census module prices its search trees with the same tables.
+s - 1.  ``_count`` steps a word of T segments in T steps of T bytes,
+all in C.  The census module prices its search trees with the same
+tables.
 
 The steps presume a reduced word.  A crossing undone by its reverse
 leaves a segment that starts and ends on one side, where a chain can
@@ -45,17 +47,18 @@ word never collide: that needs to[P] == fr[Q] with Q - P <= 2, but a
 segment starts on the far side of the cutting arc its predecessor ends
 on, and Q - P == 2 needs a letter followed by its inverse.
 
-``trace`` keeps the whole pair grid, and puts a chain's digit at its
-forward-most member.  It steps rows instead of columns, because a row
-completes both kinds of chain exactly there.  Row p holds one residual
-byte per later segment q, with the rear verdict of the chain through
-(p, q) in bit 6; it is one translate through the row step table of the
-shape of p - 1, plus a few shifts, away from row p - 1, and one more
-translate, through the code row of p's shape, writes its cells as the
-ASCII bytes 0, 1 and X.  At most one chain merges into a boundary
-stretch at both word ends: the chain through (0, T - 1), when
-fr[0] == to[T - 1].  Its rear verdict means nothing, so ``trace`` sets
-its terminal cell to 0 after the pass.
+``trace`` keeps the whole pair grid as one string of cells, row by
+row, and puts a chain's digit at its forward-most member.  It steps
+rows instead of columns, because a row completes both kinds of chain
+exactly there.  Row p holds one residual byte per later segment q,
+with the rear verdict of the chain through (p, q) in bit 6; it is one
+translate through the row step table of the shape of p - 1, plus a few
+shifts, away from row p - 1, and one more translate, through the code
+row of p's shape, writes its cells as the ASCII bytes 0, 1 and X.
+At most one chain merges into a boundary stretch at both word ends:
+the chain through (0, T - 1), when fr[0] == to[T - 1].  Its rear
+verdict means nothing, so ``trace`` sets its terminal cell to 0 after
+the pass.
 """
 
 from __future__ import annotations
@@ -86,29 +89,21 @@ def self_intersection(w: ArcWord) -> int:
 _SAME_SIDE = frozenset(item << 3 | item for item in range(0, 8, 2))
 
 
-def _segment_shapes(fr, to):
-    """The shape fr << 3 | to of each segment.
+def _word_items(w: ArcWord):
+    """The endpoint items of ``w`` and the shape fr << 3 | to of each
+    segment.
 
-    Raises AlignmentOverrun, naming the position, when a segment starts
-    and ends on the same side, that is, when a crossing is undone by its
-    reverse.
+    Raises AlignmentOverrun, naming the word and the position, when a
+    segment starts and ends on the same side, that is, when a crossing
+    is undone by its reverse.
     """
+    fr, to = endpoint_items(w.start, w.letters, w.end)
     sc = [f << 3 | t for f, t in zip(fr, to)]
     if not _SAME_SIDE.isdisjoint(sc):
         k = next(k for k, s in enumerate(sc) if s in _SAME_SIDE)
-        raise AlignmentOverrun(f"crossing {ITEM_LABELS[to[k]]!r} undoes "
+        raise AlignmentOverrun(f"{w}: crossing {ITEM_LABELS[to[k]]!r} undoes "
                                f"the previous one (position {k + 1})")
-    return sc
-
-
-def _word_items(w: ArcWord):
-    """The endpoint items and the segment shapes of ``w``;
-    AlignmentOverrun names the word."""
-    fr, to = endpoint_items(w.start, w.letters, w.end)
-    try:
-        return fr, to, _segment_shapes(fr, to)
-    except AlignmentOverrun as exc:
-        raise AlignmentOverrun(f"{w}: {exc}") from None
+    return fr, to, sc
 
 
 def _strand_side(shared, into, item1, item2):
@@ -222,15 +217,6 @@ def _trace_tables():
     """The row step and code tables of ``trace``, one row per segment
     shape, built on first use."""
     return tuple(zip(*map(_trace_rows, range(64))))
-
-
-def count_from_items(fr, to):
-    """Self-intersection count from raw per-segment endpoint items.
-
-    Raises AlignmentOverrun when a segment starts and ends on the same
-    side, that is, when a crossing is undone by its reverse.
-    """
-    return _count(_segment_shapes(fr, to))
 
 
 def _count(sc):
@@ -348,27 +334,36 @@ def resolve_chain(w: ArcWord, i: int, j: int) -> Chain:
 class Trace:
     """The full pair grid behind one self-intersection count.
 
-    ``cells`` maps 1-based pairs (i, j), i < j, to "0", "1" or "X":
-    decided pairs carry their contribution, chain members defer to the
-    forward-most member of their chain, which carries the digit for the
-    whole chain and is the only place a chain can add to the total.
+    ``grid`` holds one cell "0", "1" or "X" per 1-based pair (i, j),
+    i < j, row by row in ``itertools.combinations`` order: decided pairs
+    carry their contribution, chain members defer to the forward-most
+    member of their chain, which carries the digit for the whole chain
+    and is the only place a chain can add to the total.
     """
 
     word: str
     labels: tuple
-    cells: dict
+    grid: str
     total: int
+
+    @functools.cached_property
+    def cells(self) -> dict:
+        """The grid's cells keyed by pair (i, j), built on first use."""
+        pairs = itertools.combinations(range(1, len(self.labels) + 1), 2)
+        return dict(zip(pairs, self.grid))
 
     def render(self) -> str:
         T = len(self.labels)
         names = [f"w{k + 1}={lab}" for k, lab in enumerate(self.labels)]
         width = max(len(n) for n in names) + 2
         lines = [" " * width + "".join(n.ljust(width) for n in names[1:])]
+        gap = " " * (width - 1)
+        end = 0
         for i in range(1, T):
-            row = [names[i - 1].ljust(width)]
-            for j in range(2, T + 1):
-                row.append((self.cells.get((i, j), "") if j > i else "").ljust(width))
-            lines.append("".join(row).rstrip())
+            # the cells (i, i + 1) .. (i, T), under w(i+1) .. wT
+            start, end = end, end + T - i
+            lines.append(names[i - 1].ljust(width) + " " * (width * (i - 1))
+                         + gap.join(self.grid[start:end]))
         lines.append(f"total = {self.total}")
         return "\n".join(lines)
 
@@ -405,6 +400,5 @@ def trace(w: ArcWord) -> Trace:
         while sc[p] & 7 == sc[q] >> 3:
             p, q = p + 1, q - 1
         grid[p * (2 * T - p - 1) // 2 + q - p - 1] = ord("0")
-    cells = dict(zip(itertools.combinations(range(1, T + 1), 2), grid.decode()))
     labels = tuple([ITEM_LABELS[s >> 3] + ITEM_LABELS[s & 7] for s in sc])
-    return Trace(str(w), labels, cells, grid.count(b"1"))
+    return Trace(str(w), labels, grid.decode(), grid.count(b"1"))

@@ -50,6 +50,12 @@ TRACE_SHA256 = {
                "eaccc65aa398bb4e4f35d11a394109cd783ddbe3d0ee6d331192c559b268d19b"),
     "1baB1": ("ee326aa8473711d1d72bda417e607eb29abe9d9dd307d9b055e9b9fc996f482f",
               "2fcba8f48096ac350a7c29e70306e6d1db415acc1d4d92ec9a05238554e363f9"),
+    # one segment: no pairs, a header line of spaces only
+    "12": ("7840e1b7bbd4b44bc6b1d1856d1168bb20184615eea8502eb38a5a04eddfcf3f",
+           "cec70d87e683b395ec7b9bf1ca0c798e448e00ef40a516d954517fc62abad545"),
+    # two segments: one pair
+    "1b1": ("4e20bc31db431fc8f0c313d03705a9597729a7e9a07e7f1d9f2535cb4fea46f3",
+            "e38a975e5be49f2a39fce29cab5ce9ff7438a95466a805e73c40a40fd928997c"),
     # the witness word for N = 1000
     "witness": ("18365f65d3f3c5df92ee66bd28debfe055509b425e33f00cc25c501afb003ca8",
                 "14ddccf5cf85b09643323eea9994cbb5d67e065e1e7ae1d000a0440a66f3707e"),

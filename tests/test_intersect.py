@@ -1,6 +1,7 @@
 import itertools
 import multiprocessing
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -10,12 +11,11 @@ from pantsarc.intersect import (
     AlignmentOverrun,
     Chain,
     _strand_side,
-    count_from_items,
     resolve_chain,
     self_intersection,
     trace,
 )
-from pantsarc.planar import endpoint_items
+from pantsarc.lowlying import witness
 from pantsarc.words import (
     ArcWord, inverse, is_positive, parse_word, positivize, relabel, seam_counts)
 
@@ -209,7 +209,7 @@ def _chains(w):
     return chains
 
 
-def test_count_from_items_matches_wrapper():
+def test_count_matches_trace_and_chain_walks():
     # the stepped count against trace's row-stepped grid, which shares
     # the decision table and the chain-end rule _chain_ends with it but
     # no step, on every word through length 10 and on long words; and
@@ -222,11 +222,9 @@ def test_count_from_items_matches_wrapper():
     walked = [w for wl in range(2, 9) for w in enumerate_words(wl)]
     walked += [random_word(rng, rng.randrange(11, 31)) for _ in range(20)]
     for w in words + walked[-20:]:
-        fr, to = endpoint_items(w.start, w.letters, w.end)
-        assert count_from_items(fr, to) == trace(w).total, str(w)
+        assert self_intersection(w) == trace(w).total, str(w)
     for w in walked:
-        fr, to = endpoint_items(w.start, w.letters, w.end)
-        assert count_from_items(fr, to) == sum(
+        assert self_intersection(w) == sum(
             chain.decision for chain in _chains(w)), str(w)
 
 
@@ -242,6 +240,23 @@ def test_trace_cells_follow_the_chain_walks():
                 for pair in chain.members:
                     want = str(chain.decision) if pair == chain.terminal else "X"
                     assert cells[pair] == want, (str(w), pair)
+
+
+def test_trace_keeps_one_copy_of_the_grid():
+    # the grid is the one stored form of a trace: at T = 801 a dict
+    # keyed by pairs would peak near 28 MiB, the grid near 1 MiB
+    word = witness(10**5).word
+    T = len(word.letters) + 1
+    tracemalloc.start()
+    try:
+        t = trace(word)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert T == 801
+    assert peak < 4 << 20, peak
+    assert len(t.grid) == T * (T - 1) // 2
+    assert t.grid == "".join(t.cells.values())
 
 
 def test_free_chain_is_never_charged():
