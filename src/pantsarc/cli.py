@@ -64,10 +64,13 @@ def _cmd_intersect(args):
         _print({"word": str(w), "i": i}, args, f"i({w}) = {i}")
         return OK
     t = trace(w)
+    if args.format == "text":
+        # the text path prints the grid as it is and builds no payload
+        print(t.render())
+        return OK
     grid = {f"{i},{j}": cell for (i, j), cell in t.cells.items()}
-    payload = {"word": t.word, "i": t.total,
-               "segments": list(t.labels), "grid": grid}
-    _print(payload, args, t.render())
+    _print({"word": t.word, "i": t.total, "segments": list(t.labels),
+            "grid": grid}, args, None)
     return OK
 
 
@@ -93,13 +96,11 @@ def _cmd_enumerate(args):
 
 
 def _cmd_census(args):
-    allow_large = False
     if args.length > CENSUS_SIZE_LIMIT:
         print(f"warning: census at word length {args.length} exceeds the "
               f"usual budget (limit {CENSUS_SIZE_LIMIT}); running anyway",
               file=sys.stderr)
-        allow_large = True
-    report = census(args.length, jobs=args.jobs, allow_large=allow_large)
+    report = census(args.length, jobs=args.jobs, allow_large=True)
     if args.histogram:
         with open(args.histogram, "w") as handle:
             handle.write("i,count\n")

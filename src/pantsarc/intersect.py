@@ -17,7 +17,8 @@ one is forced by how the shared side is approached.
 One rule settles every chain: ``_chain_ends`` gives, for an
 undecidable pair, whether its strands run parallel and the verdict at
 each end of its chain that lies at the pair, through ``_strand_side``
-alone.  Every byte table below is built from it.  ``resolve_chain``
+alone.  One builder, ``_rows``, makes every byte table below from it,
+for a column of the count or a row of ``trace``.  ``resolve_chain``
 walks a chain member by member, through ``_walk_chain``, to list the
 pairs it drags along; ``trace`` walks only the one chain that can merge
 into a boundary stretch at both word ends, in O(T).
@@ -144,95 +145,68 @@ def _chain_ends(ps, qs):
     return parallel, rear, front
 
 
-def _column_rows(qs):
-    """The count's step and price rows of a segment of shape qs, indexed
-    by the residual byte of an earlier segment p.
+def _rows(s, later):
+    """The step and verdict rows of a segment of shape s, indexed by the
+    residual byte of a partner segment: an earlier one when ``later``
+    (a column of the count), else a later one (a row of ``trace``).  The
+    byte holds the partner's shape and, in bit 6, the verdict at the end
+    of its chain with s that this direction reaches first.
 
-    Priced as segment s, the pair (p, s) adds its decided verdict, or,
-    where its chain ends here at the end that reads to[s] (the front end
-    of a parallel chain, the rear end of an antiparallel one), whether
-    that verdict differs from bit 6, the verdict at the other end;
-    elsewhere on a chain it adds 0.  Stepped as segment q = s - 1, the
-    byte keeps p's shape and hands the other end's verdict of every
-    chain that runs on through (p, q) to its member in column s: in
-    bit 7 for the parallel chain through (p + 1, s), in bit 6 for the
-    antiparallel one through (p - 1, s).
+    The verdict row holds a decided pair's verdict.  On a chain it holds
+    2 where the chain runs on past the pair at the end this direction
+    reaches last (the end that reads to[s] for a column, the front end
+    for a row), else whether that end's verdict differs from the other
+    end's.  The step row keeps the partner's shape and hands the other
+    end's verdict of every chain that runs on to its next member, where
+    the partner is one segment on (bit 7, a parallel chain) or one
+    segment back (bit 6, an antiparallel one).
     """
-    decided = DECISIONS[qs::64]
+    decided = DECISIONS[s::64] if later else DECISIONS[s << 6:(s + 1) << 6]
     step = bytearray(_KEPT)
-    price = bytearray((decided * 2).ljust(256, b"\0"))
-    for ps in range(64):
-        if decided[ps] < 2:
+    verdict = bytearray((decided * 2).ljust(256, b"\0"))
+    for x in range(64):
+        if decided[x] < 2:
             continue
-        parallel, rear, front = _chain_ends(ps, qs)
-        # the end that reads this segment's to, and the one bit 6 holds
-        here, there = (front, rear) if parallel else (rear, front)
-        for x in (ps, ps | 64):
-            far = x >> 6 if there is None else there
+        parallel, rear, front = _chain_ends(x, s) if later else _chain_ends(s, x)
+        # the end reached last, and the one bit 6 holds
+        here, there = (rear, front) if later and not parallel else (front, rear)
+        for y in (x, x | 64):
+            far = y >> 6 if there is None else there
             if here is None:
-                price[x] = 0
-                step[x] |= far << 7 if parallel else far << 6
+                verdict[y] = 2
+                step[y] |= far << 7 if parallel else far << 6
             else:
-                price[x] = far != here
-    return bytes(step), bytes(price)
+                verdict[y] = far != here
+    return bytes(step), bytes(verdict)
 
 
 @functools.cache
 def _kernel_tables():
-    """The step and price tables, one row per segment shape, built on
-    first use."""
-    return tuple(zip(*map(_column_rows, range(64))))
-
-
-def _trace_rows(ps):
-    """Trace's row step and code rows of a segment p of shape ps, indexed
-    by the residual byte of a later segment q in row p.
-
-    The code row writes the pair (p, q) as the ASCII byte 0, 1 or X: its
-    decided verdict, X where its chain runs on forward, else whether the
-    chain's rear verdict (bit 6 where it runs on rearward) differs from
-    its front verdict.  The step row keeps q's shape and hands the rear
-    verdict of a chain that runs on forward to its member in row p + 1:
-    in bit 7 for a parallel chain, through (p + 1, q + 1), in bit 6 for
-    an antiparallel one, through (p + 1, q - 1).
-    """
-    decided = DECISIONS[ps << 6:(ps + 1) << 6]
-    step = bytearray(_KEPT)
-    code = bytearray((decided.translate(_CELLS) * 2).ljust(256, b"\0"))
-    for qs in range(64):
-        if decided[qs] < 2:
-            continue
-        parallel, rear, front = _chain_ends(ps, qs)
-        for x in (qs, qs | 64):
-            back = x >> 6 if rear is None else rear
-            if front is None:
-                step[x] |= back << 7 if parallel else back << 6
-            else:
-                code[x] = b"01"[back != front]
-    return bytes(step), bytes(code)
+    """The count's step and price tables, one row per segment shape,
+    built on first use."""
+    return tuple(zip(*[_rows(s, True) for s in range(64)]))
 
 
 @functools.cache
 def _trace_tables():
     """The row step and code tables of ``trace``, one row per segment
-    shape, built on first use."""
-    return tuple(zip(*map(_trace_rows, range(64))))
+    shape, built on first use: a code row writes the verdict row as the
+    ASCII bytes 0, 1 and X."""
+    steps, verdicts = zip(*[_rows(s, False) for s in range(64)])
+    return steps, tuple([v.translate(_CELLS) for v in verdicts])
 
 
 def _count(sc):
     """Self-intersection count from the segment shapes of a reduced word."""
     T = len(sc)
-    if T < 2:
-        return 0
     steps, prices = _kernel_tables()
     from_bytes = int.from_bytes
     # fields of a stepped residual read as one little-endian integer
     ones = from_bytes(b"\x01" * T, "little")
     own, ahead, behind = ones * 0x3f, ones << 7, ones << 6
-    # the residual seen from segment 1 is segment 0's bare shape
-    residual = bytes((sc[0],))
-    total = prices[sc[1]][sc[0]]
-    for k in range(2, T):
+    # the residual seen from segment 0 is empty
+    residual, total = b"", 0
+    for k in range(1, T):
         qs = sc[k - 1]
         y = from_bytes(residual.translate(steps[qs]), "little")
         residual = (y & own | (y & ahead) << 7 | (y & behind) >> 8

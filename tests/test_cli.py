@@ -6,6 +6,7 @@ import pytest
 from pantsarc import cli
 from pantsarc.census import count_words, enumerate_words
 from pantsarc.cli import main
+from pantsarc.intersect import Trace
 from pantsarc.lowlying import witness
 
 
@@ -69,6 +70,16 @@ def test_intersect_trace_bytes_are_stable(capsys, name):
         code, out, _ = run(capsys, "intersect", word, "--trace", "--format", fmt)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == want, (name, fmt)
+
+
+def test_intersect_trace_text_builds_no_cells(capsys, monkeypatch):
+    def unread(self):
+        raise AssertionError("the text path read Trace.cells")
+
+    monkeypatch.setattr(Trace, "cells", property(unread))
+    code, out, _ = run(capsys, "intersect", "1BABA2", "--trace", "--format", "text")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TRACE_SHA256["1BABA2"][1]
 
 
 @pytest.mark.parametrize("fmt", ("json", "text"))

@@ -210,10 +210,10 @@ def _chains(w):
 
 
 def test_count_matches_trace_and_chain_walks():
-    # the stepped count against trace's row-stepped grid, which shares
-    # the decision table and the chain-end rule _chain_ends with it but
-    # no step, on every word through length 10 and on long words; and
-    # against the chain walks behind resolve_chain, which share only
+    # the stepped count against trace's row-stepped grid, whose tables
+    # come from the same builder _rows run the other way, on every word
+    # through length 10 and on long words; and against the chain walks
+    # behind resolve_chain, the independent check, which share only
     # _strand_side with either, on every word through length 8 and on
     # random words of lengths 11-30
     rng = random.Random(4)
