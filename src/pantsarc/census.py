@@ -8,10 +8,12 @@ over letters that carries a running subtotal per tree node instead of
 re-pricing each word from scratch.
 
 Each undecidable pair belongs to a chain, and the search charges it
-by the word engine's rule and with the word engine's tables (see the
+by the word engine's rule and with the word engine's rows (see the
 intersect module): once, at the member whose larger segment index is
 largest, reading the verdict off the *residual byte* of the earlier
-segment p as seen from the newest segment s.
+segment p as seen from the newest segment s.  Each segment shape has
+one merged row: bit 0 of an entry is the price of the pair, and bits
+6 and 7 hand the verdict on to the chain's next member.
 
 The word engine steps one residual per segment along a single word.
 The search steps one residual per tree node instead, and that is all
@@ -19,8 +21,9 @@ it adds: the children of a node share their newest segment s's start
 fr[s] and every earlier segment, and only to[s] differs between them.
 The residual holds the chain end no child can move, so a node steps
 its residual from its parent's once, and each child is one
-``bytes.translate`` through the price row of its shape and a count of
-the ones, both in C.  Every word's total equals the word engine's.
+``bytes.translate`` through the row of its shape and a count of the
+ones, both in C; the same translate hands the child's verdicts on to
+its own children.  Every word's total equals the word engine's.
 
 The word engine rejects a word with a crossing undone by its reverse
 with AlignmentOverrun before it prices any pair, because its steps
@@ -145,33 +148,34 @@ def _first_letter_tasks():
 
 def _census_task(word_length, start, first):
     """Histogram over all words of one (start, first crossing) job."""
-    steps, prices = _kernel_tables()
+    rows = _kernel_tables()
     L = word_length - 2
     from_bytes = int.from_bytes
-    # fields of a stepped residual read as one little-endian integer
-    own = from_bytes(b"\x3f" * L, "little")
-    ahead = from_bytes(b"\x80" * L, "little")
-    behind = from_bytes(b"\x40" * L, "little")
+    # a residual as the word engine reads it: segment k - 1 in the low
+    # byte, a parallel chain's verdict kept in its byte and an
+    # antiparallel one moved two bytes up
+    kept = from_bytes(b"\x40" * L, "little")
+    moved = from_bytes(b"\x80" * L, "little")
     hist = Counter()
 
-    def grow(k, prev, qs, parent, subtotal):
-        # parent is the residual seen from segment k - 1, of shape qs;
-        # the children of this node share segment k's start, so one
-        # step prices every chain they share
-        y = from_bytes(parent.translate(steps[qs]), "little")
-        residual = (y & own | (y & ahead) << 7 | (y & behind) >> 8
-                    | qs << 8 * (k - 1)).to_bytes(k, "little")
+    def grow(k, prev, shapes, priced, subtotal):
+        # shapes holds segments k - 1 down to 0, and priced is the
+        # residual seen from segment k - 1 translated through that
+        # segment's row; the children of this node share segment k's
+        # start, so one step prices every chain they share
+        y = from_bytes(priced, "little")
+        residual = (shapes | y & kept | (y & moved) << 15).to_bytes(k, "little")
         if k == L:
             for cs in _CLOSING_SHAPES[prev]:
-                hist[subtotal + residual.translate(prices[cs]).count(1)] += 1
+                hist[subtotal + residual.translate(rows[cs]).count(1)] += 1
             return
         f = EDGE_ITEM[prev ^ 1] << 3
         for c in _LEX_CODES:
             if c == prev ^ 1:
                 continue
             cs = f | EDGE_ITEM[c]
-            grow(k + 1, c, cs, residual,
-                 subtotal + residual.translate(prices[cs]).count(1))
+            priced = residual.translate(rows[cs])
+            grow(k + 1, c, shapes << 8 | cs, priced, subtotal + priced.count(1))
 
     head = CORNER_ITEM[start] if start != 3 else FAR_WAIST_ITEM[first]
     grow(1, first, head << 3 | EDGE_ITEM[first], b"", 0)

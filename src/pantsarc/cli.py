@@ -68,9 +68,19 @@ def _cmd_intersect(args):
         # the text path prints the grid as it is and builds no payload
         print(t.render())
         return OK
-    grid = {f"{i},{j}": cell for (i, j), cell in t.cells.items()}
-    _print({"word": t.word, "i": t.total, "segments": list(t.labels),
-            "grid": grid}, args, None)
+    # one grid row at a time, in the bytes _print would give the payload
+    out = sys.stdout
+    segments = json.dumps(list(t.labels), separators=(",", ":"))
+    out.write(f'{{"word":{json.dumps(t.word)},"i":{t.total},'
+              f'"segments":{segments},"grid":{{')
+    T = len(t.labels)
+    end = 0
+    for i in range(1, T):
+        start, end = end, end + T - i
+        row = ",".join([f'"{i},{j}":"{cell}"' for j, cell
+                        in enumerate(t.grid[start:end], i + 1)])
+        out.write(row if i == 1 else "," + row)
+    out.write("}}\n")
     return OK
 
 

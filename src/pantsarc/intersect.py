@@ -31,14 +31,21 @@ never charged, which is also its correct price.  The count runs along
 the word one segment s at a time and sees every earlier segment p as a
 *residual byte*: p's 6-bit shape fr << 3 | to plus, in bit 6, the
 verdict at the end of p's chain with s that does not read to[s].
-What all pairs (p, s) add is one ``bytes.translate`` of the residual
-through the price row of s's shape and a count of the ones.  The chain
-through (p, s) runs on through (p - 1, s - 1) or (p + 1, s - 1), so
-the residual seen from s is one translate through the step row of the
-shape of s - 1, plus a few shifts, away from the residual seen from
-s - 1.  ``_count`` steps a word of T segments in T steps of T bytes,
-all in C.  The census module prices its search trees with the same
-tables.
+Each segment shape has one row, indexed by the residual byte, and all
+pairs (p, s) go through one ``bytes.translate`` of the residual through
+the row of s's shape.  Bit 0 of the result is the price of (p, s), and
+what all pairs add is a count of the ones.  Bits 6 and 7 hand the
+verdict on where the chain through (p, s) runs on, through (p + 1,
+s + 1) when parallel (bit 6) or (p - 1, s + 1) when antiparallel
+(bit 7); the two never share an entry with a price of 1.  So the
+residual seen from s + 1 is the same translate, a few shifts, and the
+shapes of segments 0 to s.  ``_count`` steps a word of T segments in T
+steps of T bytes, all in C.  The census module prices its search trees
+with the same rows.
+
+The shapes of a word come from one translate too: a segment's shape
+depends only on the two symbols around it, so all of them are one
+translate of the symbol pairs.
 
 The steps presume a reduced word.  A crossing undone by its reverse
 leaves a segment that starts and ends on one side, where a chain can
@@ -52,11 +59,12 @@ on, and Q - P == 2 needs a letter followed by its inverse.
 row, and puts a chain's digit at its forward-most member.  It steps
 rows instead of columns, because a row completes both kinds of chain
 exactly there.  Row p holds one residual byte per later segment q,
-with the rear verdict of the chain through (p, q) in bit 6; it is one
-translate through the row step table of the shape of p - 1, plus a few
-shifts, away from row p - 1, and one more translate, through the code
-row of p's shape, writes its cells as the ASCII bytes 0, 1 and X.
-At most one chain merges into a boundary stretch at both word ends:
+with the rear verdict of the chain through (p, q) in bit 6.  One
+translate through the trace row of p's shape gives its cells, as a
+digit in bit 0 or bit 1 set where the chain runs on past (p, q), and
+the verdicts handed on in bits 6 and 7, so row p + 1 is a few shifts
+away; one last translate writes the cells as the ASCII bytes 0, 1 and
+X.  At most one chain merges into a boundary stretch at both word ends:
 the chain through (0, T - 1), when fr[0] == to[T - 1].  Its rear
 verdict means nothing, so ``trace`` sets its terminal cell to 0 after
 the pass.
@@ -68,7 +76,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .planar import DECISIONS, ITEM_LABELS, endpoint_items
+from .planar import DECISIONS, EDGE_ITEM, ITEM_LABELS, endpoint_items
 from .words import ArcWord
 
 
@@ -83,28 +91,52 @@ def self_intersection(w: ArcWord) -> int:
     Raises AlignmentOverrun, naming the word, for a word with a crossing
     undone by its reverse (one built without ``parse_word``).
     """
-    return _count(_word_items(w)[2])
+    return _count(_shapes(w))
 
 
-# shapes of the segments that start and end on one cutting-arc side
-_SAME_SIDE = frozenset(item << 3 | item for item in range(0, 8, 2))
+def _pair_shape(x, y):
+    """The shape of the segment between two neighbouring symbols of a
+    word, letter codes as 0-3 and boundary digits d as d + 3.
+
+    A letter followed by its inverse makes a segment that starts and
+    ends on one cutting-arc side.  All four such shapes are written as
+    0, the shape of the one from side a to itself, so that one byte
+    search finds them.
+    """
+    if x < 4 and y == x ^ 1:
+        return 0
+    letters = tuple([c for c in (x, y) if c < 4])
+    fr, to = endpoint_items(x - 3 if x > 3 else 3, letters,
+                            y - 3 if y > 3 else 3)
+    # the segment after x: the first one when x is a boundary digit
+    k = int(x < 4)
+    return fr[k] << 3 | to[k]
 
 
-def _word_items(w: ArcWord):
-    """The endpoint items of ``w`` and the shape fr << 3 | to of each
-    segment.
+# the shape of a segment, indexed by its two symbols x << 3 | y
+_PAIR_SHAPES = bytes([_pair_shape(x, y) if x < 7 and y < 7 else 0
+                      for x in range(8) for y in range(8)]).ljust(256, b"\0")
+
+
+def _shapes(w: ArcWord):
+    """The shape fr << 3 | to of each segment of ``w``, as bytes.
 
     Raises AlignmentOverrun, naming the word and the position, when a
     segment starts and ends on the same side, that is, when a crossing
     is undone by its reverse.
     """
-    fr, to = endpoint_items(w.start, w.letters, w.end)
-    sc = [f << 3 | t for f, t in zip(fr, to)]
-    if not _SAME_SIDE.isdisjoint(sc):
-        k = next(k for k, s in enumerate(sc) if s in _SAME_SIDE)
-        raise AlignmentOverrun(f"{w}: crossing {ITEM_LABELS[to[k]]!r} undoes "
+    from_bytes = int.from_bytes
+    symbols = bytes([w.start + 3, *w.letters, w.end + 3])
+    # every symbol beside its successor, as one byte x << 3 | y each
+    sc = (from_bytes(symbols[:-1], "big") << 3
+          | from_bytes(symbols[1:], "big")).to_bytes(
+              len(symbols) - 1, "big").translate(_PAIR_SHAPES)
+    if 0 in sc:
+        k = sc.index(0)
+        crossing = ITEM_LABELS[EDGE_ITEM[w.letters[k]]]
+        raise AlignmentOverrun(f"{w}: crossing {crossing!r} undoes "
                                f"the previous one (position {k + 1})")
-    return fr, to, sc
+    return sc
 
 
 def _strand_side(shared, into, item1, item2):
@@ -115,12 +147,8 @@ def _strand_side(shared, into, item1, item2):
     return (r2 < r1) if into else (r2 > r1)
 
 
-# a step row before any chain runs on through it: every residual byte
-# keeps its shape and hands on no verdict
-_KEPT = (bytes(range(64)) * 2).ljust(256, b"\0")
-
-# the ASCII trace cell of each pair decision
-_CELLS = b"01X".ljust(256, b"\0")
+# the ASCII trace cell of each row entry, by its low two bits
+_CELLS = b"01X\0" * 64
 
 
 def _chain_ends(ps, qs):
@@ -146,24 +174,25 @@ def _chain_ends(ps, qs):
 
 
 def _rows(s, later):
-    """The step and verdict rows of a segment of shape s, indexed by the
-    residual byte of a partner segment: an earlier one when ``later``
-    (a column of the count), else a later one (a row of ``trace``).  The
-    byte holds the partner's shape and, in bit 6, the verdict at the end
-    of its chain with s that this direction reaches first.
+    """The row of a segment of shape s, indexed by the residual byte of a
+    partner segment: an earlier one when ``later`` (a column of the count),
+    else a later one (a row of ``trace``).  The byte holds the partner's
+    shape and, in bit 6, the verdict at the end of its chain with s that
+    this direction reaches first.
 
-    The verdict row holds a decided pair's verdict.  On a chain it holds
-    2 where the chain runs on past the pair at the end this direction
-    reaches last (the end that reads to[s] for a column, the front end
-    for a row), else whether that end's verdict differs from the other
-    end's.  The step row keeps the partner's shape and hands the other
-    end's verdict of every chain that runs on to its next member, where
-    the partner is one segment on (bit 7, a parallel chain) or one
-    segment back (bit 6, an antiparallel one).
+    Bit 0 of an entry holds a decided pair's verdict, or on a chain that
+    ends at the pair at the end this direction reaches last (the end that
+    reads to[s] for a column, the front end for a row) whether that end's
+    verdict differs from the other end's.  A chain that runs on there
+    instead hands the other end's verdict on to its next member, where
+    the partner is one segment on (bit 6, a parallel chain) or one
+    segment back (bit 7, an antiparallel one); in a row its entry also
+    sets bit 1, the cell X.  The two never share an entry, so in a
+    column every entry is 0, 1, 0x40 or 0x80.
     """
     decided = DECISIONS[s::64] if later else DECISIONS[s << 6:(s + 1) << 6]
-    step = bytearray(_KEPT)
-    verdict = bytearray((decided * 2).ljust(256, b"\0"))
+    row = bytearray((decided * 2).ljust(256, b"\0"))
+    runs_on = 0 if later else 2
     for x in range(64):
         if decided[x] < 2:
             continue
@@ -172,46 +201,48 @@ def _rows(s, later):
         here, there = (rear, front) if later and not parallel else (front, rear)
         for y in (x, x | 64):
             far = y >> 6 if there is None else there
-            if here is None:
-                verdict[y] = 2
-                step[y] |= far << 7 if parallel else far << 6
+            if here is not None:
+                row[y] = far != here
             else:
-                verdict[y] = far != here
-    return bytes(step), bytes(verdict)
+                row[y] = (far << 6 if parallel else far << 7) | runs_on
+    return bytes(row)
 
 
 @functools.cache
 def _kernel_tables():
-    """The count's step and price tables, one row per segment shape,
-    built on first use."""
-    return tuple(zip(*[_rows(s, True) for s in range(64)]))
+    """The count's rows, one per segment shape, built on first use."""
+    return tuple([_rows(s, True) for s in range(64)])
 
 
 @functools.cache
 def _trace_tables():
-    """The row step and code tables of ``trace``, one row per segment
-    shape, built on first use: a code row writes the verdict row as the
-    ASCII bytes 0, 1 and X."""
-    steps, verdicts = zip(*[_rows(s, False) for s in range(64)])
-    return steps, tuple([v.translate(_CELLS) for v in verdicts])
+    """The rows of ``trace``, one per segment shape, built on first use."""
+    return tuple([_rows(s, False) for s in range(64)])
 
 
 def _count(sc):
     """Self-intersection count from the segment shapes of a reduced word."""
     T = len(sc)
-    steps, prices = _kernel_tables()
+    rows = _kernel_tables()
     from_bytes = int.from_bytes
-    # fields of a stepped residual read as one little-endian integer
+    # the residual seen from segment k holds segments k - 1 down to 0,
+    # one byte each, read as a little-endian integer: the shapes are
+    # the top k bytes of the word's shapes read big-endian, a parallel
+    # chain's verdict stays in its byte and an antiparallel one moves
+    # two bytes up
     ones = from_bytes(b"\x01" * T, "little")
-    own, ahead, behind = ones * 0x3f, ones << 7, ones << 6
+    kept, moved = ones << 6, ones << 7
+    shapes = from_bytes(sc, "big")
+    shift = 8 * T
     # the residual seen from segment 0 is empty
-    residual, total = b"", 0
+    row, total = b"", 0
     for k in range(1, T):
-        qs = sc[k - 1]
-        y = from_bytes(residual.translate(steps[qs]), "little")
-        residual = (y & own | (y & ahead) << 7 | (y & behind) >> 8
-                    | qs << 8 * (k - 1)).to_bytes(k, "little")
-        total += residual.translate(prices[sc[k]]).count(1)
+        shift -= 8
+        y = from_bytes(row, "little")
+        residual = (shapes >> shift | y & kept
+                    | (y & moved) << 15).to_bytes(k, "little")
+        row = residual.translate(rows[sc[k]])
+        total += row.count(1)
     return total
 
 
@@ -291,7 +322,8 @@ def resolve_chain(w: ArcWord, i: int, j: int) -> Chain:
     carrying its own verdict; an undecidable pair drags in the whole
     chain it belongs to.
     """
-    fr, to, sc = _word_items(w)
+    sc = _shapes(w)
+    fr, to = [s >> 3 for s in sc], [s & 7 for s in sc]
     T = len(sc)
     if not (1 <= i < j <= T):
         raise ValueError(f"need 1 <= i < j <= {T}, got ({i}, {j})")
@@ -348,25 +380,29 @@ def trace(w: ArcWord) -> Trace:
     Raises AlignmentOverrun, naming the word, for a word with a crossing
     undone by its reverse.
     """
-    sc = _word_items(w)[2]
+    sc = _shapes(w)
     T = len(sc)
-    steps, codes = _trace_tables()
+    table = _trace_tables()
     from_bytes = int.from_bytes
+    # row p holds segments p + 1 to T - 1, one byte each, read as a
+    # little-endian integer: the shapes are the word's shapes read
+    # little-endian past byte p, a parallel chain's verdict stays in its
+    # byte and an antiparallel one moves two bytes down; the last byte
+    # of a row never hands a parallel verdict on, since to[T - 1] is a
+    # boundary stretch, so the row shrinks by one byte
     ones = from_bytes(b"\x01" * T, "little")
-    own, ahead, behind = ones * 0x3f, ones << 7, ones << 6
+    kept, moved = ones << 6, ones << 7
+    shapes = from_bytes(sc, "little")
+    shift = 8
     # row 0: no chain runs on into it except the free one, fixed below
-    residual = bytes(sc[1:])
-    rows = [residual.translate(codes[sc[0]])]
+    rows = [sc[1:].translate(table[sc[0]])]
     for p in range(1, T - 1):
-        # q's shape comes from byte q of row p - 1, a parallel rear
-        # verdict from byte q - 1 and an antiparallel one from byte
-        # q + 1; the last byte never sets bit 7, since to[T - 1] is a
-        # boundary stretch, so the row shrinks by one byte
-        y = from_bytes(residual.translate(steps[sc[p - 1]]), "little")
-        residual = (y >> 8 & own | (y & ahead) >> 1
-                    | y >> 16 & behind).to_bytes(T - 1 - p, "little")
-        rows.append(residual.translate(codes[sc[p]]))
-    grid = bytearray().join(rows)
+        shift += 8
+        y = from_bytes(rows[-1], "little")
+        residual = (shapes >> shift | y & kept
+                    | (y & moved) >> 17).to_bytes(T - 1 - p, "little")
+        rows.append(residual.translate(table[sc[p]]))
+    grid = bytearray().join(rows).translate(_CELLS)
     if T > 1 and sc[0] >> 3 == sc[-1] & 7:
         # the chain through (0, T - 1) merges into one boundary stretch
         # at both word ends and is never charged

@@ -26,8 +26,16 @@ SEAM_CHARS = "123"
 
 _CODE_OF = {ch: k for k, ch in enumerate(LETTER_CHARS)}
 
+# the letter code of each letter's ASCII byte
+_CODE_BYTES = bytes.maketrans(LETTER_CHARS.encode(), bytes(range(4)))
+
 # boundary digit -> letter family (0 = a, 1 = b) that may not sit next to it
 _CLASHING_FAMILY = {1: 0, 2: 1}
+
+# the two opening or closing symbols of a word that no valid word has:
+# an endpoint clash, or a crossing-free word from boundary 1 or 2 back
+# to itself
+_STUCK = frozenset({"1a", "1A", "2b", "2B", "a1", "A1", "b2", "B2", "11", "22"})
 
 
 def invert_code(code: int) -> int:
@@ -87,10 +95,26 @@ class ArcWord:
 def parse_word(text: str) -> ArcWord:
     """Parse and validate an arc word string.
 
-    Scans left to right and raises the WordError subclass describing
-    the first character at which the text stops being extendable to a
-    valid word.
+    A valid word is accepted by a few whole-string checks; any other
+    text is scanned left to right, which raises the WordError subclass
+    describing the first character at which the text stops being
+    extendable to a valid word.
     """
+    mid = text[1:-1]
+    if (len(text) > 1 and text[0] in SEAM_CHARS and text[-1] in SEAM_CHARS
+            and not mid.strip(LETTER_CHARS)
+            and text[:2] not in _STUCK and text[-2:] not in _STUCK
+            and "aA" not in mid and "Aa" not in mid
+            and "bB" not in mid and "Bb" not in mid):
+        return ArcWord(int(text[0]), tuple(mid.encode().translate(_CODE_BYTES)),
+                       int(text[-1]))
+    return _scan(text)
+
+
+def _scan(text: str) -> ArcWord:
+    """Parse ``text`` symbol by symbol, raising the WordError subclass
+    describing the first character at which it stops being extendable
+    to a valid word."""
     if not text:
         raise BadShape("empty word", 0)
     ch = text[0]

@@ -82,6 +82,18 @@ def test_intersect_trace_text_builds_no_cells(capsys, monkeypatch):
     assert hashlib.sha256(out.encode()).hexdigest() == TRACE_SHA256["1BABA2"][1]
 
 
+def test_intersect_trace_json_builds_no_cells(capsys, monkeypatch):
+    # the JSON payload is streamed row by row from Trace.grid
+    def unread(self):
+        raise AssertionError("the JSON path read Trace.cells")
+
+    monkeypatch.setattr(Trace, "cells", property(unread))
+    word = str(witness(1000).word)
+    code, out, _ = run(capsys, "intersect", word, "--trace", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TRACE_SHA256["witness"][0]
+
+
 @pytest.mark.parametrize("fmt", ("json", "text"))
 def test_intersect_prices_the_word_once(capsys, monkeypatch, fmt):
     calls = []

@@ -10,12 +10,15 @@ from pantsarc.census import enumerate_words, length_bounds
 from pantsarc.intersect import (
     AlignmentOverrun,
     Chain,
+    _kernel_tables,
+    _shapes,
     _strand_side,
     resolve_chain,
     self_intersection,
     trace,
 )
 from pantsarc.lowlying import witness
+from pantsarc.planar import endpoint_items
 from pantsarc.words import (
     ArcWord, inverse, is_positive, parse_word, positivize, relabel, seam_counts)
 
@@ -226,6 +229,26 @@ def test_count_matches_trace_and_chain_walks():
     for w in walked:
         assert self_intersection(w) == sum(
             chain.decision for chain in _chains(w)), str(w)
+
+
+def test_shapes_match_the_endpoint_items():
+    # the shape bytes, read off symbol pairs, against the segment
+    # endpoints, on every word through length 10, bare words included
+    for wl in range(2, 11):
+        for w in enumerate_words(wl):
+            fr, to = endpoint_items(w.start, w.letters, w.end)
+            assert list(_shapes(w)) == [f << 3 | t for f, t in zip(fr, to)], str(w)
+
+
+def test_kernel_rows_price_or_hand_on():
+    # one row per shape; on every entry a residual byte can reach, a
+    # row holds a price of 0 or 1 or hands a verdict on in bit 6 or 7,
+    # never both, so the count reads its prices with .count(1)
+    rows = _kernel_tables()
+    assert len(rows) == 64
+    for row in rows:
+        assert len(row) == 256
+        assert set(row[:128]) <= {0, 1, 0x40, 0x80}
 
 
 def test_trace_cells_follow_the_chain_walks():

@@ -1,6 +1,10 @@
+import itertools
+
 import pytest
 from hypothesis import given
 
+from pantsarc import words
+from pantsarc.census import enumerate_words
 from pantsarc.words import (
     ArcWord,
     BadShape,
@@ -51,6 +55,36 @@ def test_parse_rejects(text, err):
         parse_word(text)
     with pytest.raises(WordError):
         parse_word(text)
+
+
+def _parsed(parse, text):
+    """The word ``parse`` makes of ``text``, or the class, message and
+    position of the WordError it raises."""
+    try:
+        return parse(text)
+    except WordError as exc:
+        return type(exc), str(exc), exc.position
+
+
+def test_parse_word_agrees_with_the_scanner():
+    # every short text, stray characters included, and every valid word
+    # through length 10: the same word, or the same first error
+    texts = ["".join(t) for n in range(6)
+             for t in itertools.product("123aAbBx", repeat=n)]
+    texts += ["".join(t) for t in itertools.product("123aAbB", repeat=6)]
+    texts += [str(w) for wl in range(2, 11) for w in enumerate_words(wl)]
+    for text in texts:
+        assert _parsed(parse_word, text) == _parsed(words._scan, text), text
+
+
+def test_valid_words_skip_the_scanner(monkeypatch):
+    def scan(text):
+        raise AssertionError(f"{text} was scanned")
+
+    monkeypatch.setattr(words, "_scan", scan)
+    for wl in range(2, 11):
+        for w in enumerate_words(wl):
+            assert parse_word(str(w)) == w
 
 
 def test_bare_33_is_allowed():
