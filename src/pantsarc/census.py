@@ -56,8 +56,7 @@ from __future__ import annotations
 
 import os
 from collections import Counter
-from dataclasses import dataclass
-from multiprocessing import Pool
+from typing import NamedTuple
 
 from .intersect import _kernel_tables
 from .planar import CORNER_ITEM, EDGE_ITEM, FAR_WAIST_ITEM
@@ -182,8 +181,7 @@ def _census_task(word_length, start, first):
     return hist
 
 
-@dataclass(frozen=True)
-class CensusReport:
+class CensusReport(NamedTuple):
     """Distribution of self-intersection numbers at one word length."""
 
     word_length: int
@@ -226,7 +224,8 @@ def _resolve_jobs(jobs):
     return jobs
 
 
-# beyond this length a census is hours of work, not minutes
+# beyond this length a census covers count_words(17) = 76,527,504 words
+# or more, three times as many with each further symbol
 CENSUS_SIZE_LIMIT = 16
 
 # below this many words a census runs in-process: starting a pool of two
@@ -251,7 +250,8 @@ def census(word_length: int, jobs: int | None = None,
         raise ValueError("a word has at least two symbols")
     if word_length > CENSUS_SIZE_LIMIT and not allow_large:
         raise BudgetExceeded(
-            f"censuses beyond word length {CENSUS_SIZE_LIMIT} take hours; "
+            f"censuses beyond word length {CENSUS_SIZE_LIMIT} cover "
+            f"{count_words(CENSUS_SIZE_LIMIT + 1):,} words or more; "
             "pass allow_large=True to run one anyway")
     jobs = _resolve_jobs(jobs)
     if word_length == 2:
@@ -260,6 +260,8 @@ def census(word_length: int, jobs: int | None = None,
         tasks = [(word_length, start, first)
                  for start, first in _ORBIT_REPRESENTATIVES]
         if jobs > 1 and count_words(word_length) >= _POOL_MIN_WORDS:
+            from multiprocessing import Pool
+
             with Pool(min(jobs, len(tasks))) as pool:
                 parts = pool.starmap(_census_task, tasks)
         else:

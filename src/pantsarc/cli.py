@@ -65,8 +65,11 @@ def _cmd_intersect(args):
         return OK
     t = trace(w)
     if args.format == "text":
-        # the text path prints the grid as it is and builds no payload
-        print(t.render())
+        # the text path writes the grid a line at a time, in the bytes
+        # print(t.render()) would give, and builds no payload
+        out = sys.stdout
+        for line in t._lines():
+            out.write(line + "\n")
         return OK
     # one grid row at a time, in the bytes _print would give the payload
     out = sys.stdout

@@ -74,7 +74,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .planar import DECISIONS, EDGE_ITEM, ITEM_LABELS, endpoint_items
 from .words import ArcWord
@@ -246,8 +246,7 @@ def _count(sc):
     return total
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(NamedTuple):
     """A resolved segment pair: the members it drags along and the
     verdict shared by all of them.  Member pairs are 1-based.  A
     decidable pair stands alone as a one-member chain with its own
@@ -336,8 +335,14 @@ def resolve_chain(w: ArcWord, i: int, j: int) -> Chain:
                  parallel, free, decision)
 
 
-@dataclass(frozen=True)
-class Trace:
+class _TraceFields(NamedTuple):
+    word: str
+    labels: tuple
+    grid: str
+    total: int
+
+
+class Trace(_TraceFields):
     """The full pair grid behind one self-intersection count.
 
     ``grid`` holds one cell "0", "1" or "X" per 1-based pair (i, j),
@@ -347,11 +352,6 @@ class Trace:
     and is the only place a chain can add to the total.
     """
 
-    word: str
-    labels: tuple
-    grid: str
-    total: int
-
     @functools.cached_property
     def cells(self) -> dict:
         """The grid's cells keyed by pair (i, j), built on first use."""
@@ -359,19 +359,22 @@ class Trace:
         return dict(zip(pairs, self.grid))
 
     def render(self) -> str:
+        return "\n".join(self._lines())
+
+    def _lines(self):
+        """The lines of ``render``, one at a time."""
         T = len(self.labels)
         names = [f"w{k + 1}={lab}" for k, lab in enumerate(self.labels)]
         width = max(len(n) for n in names) + 2
-        lines = [" " * width + "".join(n.ljust(width) for n in names[1:])]
+        yield " " * width + "".join(n.ljust(width) for n in names[1:])
         gap = " " * (width - 1)
         end = 0
         for i in range(1, T):
             # the cells (i, i + 1) .. (i, T), under w(i+1) .. wT
             start, end = end, end + T - i
-            lines.append(names[i - 1].ljust(width) + " " * (width * (i - 1))
-                         + gap.join(self.grid[start:end]))
-        lines.append(f"total = {self.total}")
-        return "\n".join(lines)
+            yield (names[i - 1].ljust(width) + " " * (width * (i - 1))
+                   + gap.join(self.grid[start:end]))
+        yield f"total = {self.total}"
 
 
 def trace(w: ArcWord) -> Trace:

@@ -16,8 +16,6 @@ parameterization, so the two can be played against each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt
 from typing import NamedTuple
 
@@ -32,8 +30,7 @@ def _rep(block, times):
     return tuple(block) * times
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """One parameterized family: words, closed form, continued fraction."""
 
     name: str
@@ -136,6 +133,8 @@ def continued_fraction_value(quotients) -> Fraction:
     qs = tuple(quotients)
     if not qs or any(a < 1 for a in qs):
         raise ValueError("quotients must be a nonempty sequence of positive integers")
+    from fractions import Fraction
+
     value = Fraction(0)
     for a in reversed(qs):
         value = Fraction(1, a + value)
@@ -178,8 +177,7 @@ def decompose(target: int) -> Decomposition:
     return Decomposition("Z5", j - 1, None)
 
 
-@dataclass(frozen=True)
-class WitnessArc:
+class WitnessArc(NamedTuple):
     """A concrete arc hitting a requested self-intersection number."""
 
     target: int

@@ -25,7 +25,6 @@ sharing a cutting-arc side are undecidable from the endpoints alone
 from __future__ import annotations
 
 import enum
-import importlib.resources
 from typing import NamedTuple
 
 from .words import ArcWord
@@ -178,6 +177,8 @@ def regenerate_tables():
 
 def load_reference_pairs():
     """The packaged classification of decidable segment-label pairs."""
+    import importlib.resources
+
     text = (importlib.resources.files("pantsarc")
             .joinpath("data/decidable_pairs.txt").read_text())
     out = {}

@@ -18,7 +18,6 @@ ending boundary (those corner segments retract as well).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 LETTER_CHARS = "aAbB"
@@ -71,8 +70,7 @@ class EndpointClash(WordError):
     """First or last crossing touches the cutting arc at its own boundary."""
 
 
-@dataclass(frozen=True)
-class ArcWord:
+class ArcWord(NamedTuple):
     """A validated arc word: two boundary labels and the crossing codes."""
 
     start: int

@@ -1,4 +1,4 @@
-import importlib
+import multiprocessing
 import os
 from collections import Counter
 
@@ -23,9 +23,6 @@ from pantsarc.census import (
 )
 from pantsarc.intersect import self_intersection
 from pantsarc.words import LETTER_CHARS, parse_word
-
-# the package re-exports the census function under the module's name
-census_module = importlib.import_module("pantsarc.census")
 
 # the (start, first crossing) tasks, grouped into their orbits under
 # relabelling (1 <-> 2, a <-> b) and mirroring (a <-> A, b <-> B)
@@ -96,8 +93,8 @@ def test_census_pools_from_the_crossover(monkeypatch):
     wl = next(wl for wl in range(2, CENSUS_SIZE_LIMIT + 1)
               if count_words(wl) >= _POOL_MIN_WORDS)
     started = []
-    pool = census_module.Pool
-    monkeypatch.setattr(census_module, "Pool",
+    pool = multiprocessing.Pool
+    monkeypatch.setattr(multiprocessing, "Pool",
                         lambda n: started.append(n) or pool(n))
     assert census(wl - 1, jobs=2) == census(wl - 1, jobs=1)
     assert started == []
@@ -133,7 +130,8 @@ def test_jobs_default(monkeypatch):
 
 
 def test_census_budget_guard():
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded, match="word length 16 cover "
+                       "76,527,504 words or more"):
         census(17)
     with pytest.raises(ValueError):
         census(1)

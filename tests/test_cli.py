@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -92,6 +96,21 @@ def test_intersect_trace_json_builds_no_cells(capsys, monkeypatch):
     code, out, _ = run(capsys, "intersect", word, "--trace", "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == TRACE_SHA256["witness"][0]
+
+
+def test_intersect_imports_no_unused_stdlib():
+    # a fresh process pays for every module the package imports; of
+    # these the commands need none, or only for a pooled census, a
+    # continued fraction or a packaged data file
+    unused = ("dataclasses", "inspect", "multiprocessing", "fractions",
+              "importlib.resources")
+    code = ("import sys; from pantsarc import cli; "
+            "code = cli.main(['intersect', '1BABA2']); "
+            f"print(code, [m for m in {unused!r} if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stdout == '{"word":"1BABA2","i":2}\n0 []\n', proc.stderr
 
 
 @pytest.mark.parametrize("fmt", ("json", "text"))

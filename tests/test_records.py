@@ -1,0 +1,74 @@
+import re
+
+import pytest
+
+from pantsarc.census import CensusReport, census
+from pantsarc.intersect import Chain, Trace, resolve_chain, trace
+from pantsarc.lowlying import FAMILIES, Family, WitnessArc, witness
+from pantsarc.words import ArcWord, parse_word
+
+W = "1BABA2"
+
+# each record class with one instance and the repr it has always had;
+# the repr gives the field names in their order
+RECORDS = {
+    ArcWord: (lambda: parse_word(W),
+              "ArcWord(start=1, letters=(3, 1, 3, 1), end=2)"),
+    Chain: (lambda: resolve_chain(parse_word(W), 1, 3),
+            "Chain(members=((1, 3), (2, 4), (3, 5)), parallel=True, "
+            "free_end=False, decision=1)"),
+    Trace: (lambda: trace(parse_word(W)),
+            "Trace(word='1BABA2', labels=('1B', 'bA', 'aB', 'bA', 'a2'), "
+            "grid='0X010X0010', total=2)"),
+    CensusReport: (lambda: census(4, jobs=1),
+                   "CensusReport(word_length=4, word_count=48, min_i=1, "
+                   "max_i=3, histogram={1: 8, 2: 32, 3: 8})"),
+    Family: (lambda: FAMILIES["C2"],
+             "Family(name='C2', needs_m=False, word=<function>, "
+             "value=<function>, quotients=<function>, fixed=True)"),
+    WitnessArc: (lambda: witness(10),
+                 "WitnessArc(target=10, family='Z4', n=2, m=None, "
+                 "word=ArcWord(start=1, letters=(2, 1, 2, 1, 2), end=1), "
+                 "quotients=(2, 2, 2, 2, 1, 1))"),
+}
+
+
+def _fields(want):
+    """The field names of a pinned repr, in order, nested records left out."""
+    depth, names = 0, []
+    for token in re.findall(r"\w+=|[()]", want):
+        depth += {"(": 1, ")": -1}.get(token, 0)
+        if depth == 1 and token.endswith("="):
+            names.append(token[:-1])
+    return tuple(names)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_record_repr_and_fields(cls):
+    make, want = RECORDS[cls]
+    record = make()
+    assert type(record) is cls
+    assert re.sub(r"<function <lambda> at \w+>", "<function>",
+                  repr(record)) == want
+    assert record._fields == _fields(want)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_record_is_immutable(cls):
+    make, want = RECORDS[cls]
+    record = make()
+    for name in _fields(want):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+
+
+def test_records_hash_by_value():
+    assert len({parse_word(W), parse_word(W), parse_word("1b1")}) == 2
+    assert hash(trace(parse_word(W))) == hash(trace(parse_word(W)))
+    assert resolve_chain(parse_word(W), 1, 3) == resolve_chain(parse_word(W), 2, 4)
+
+
+def test_trace_cells_are_built_once():
+    t = trace(parse_word(W))
+    assert t.cells is t.cells
+    assert t.cells[3, 5] == "1"
