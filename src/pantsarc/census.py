@@ -7,6 +7,16 @@ segment pair inside that prefix, so the walk is a depth-first search
 over letters that carries a running subtotal per tree node instead of
 re-pricing each word from scratch.
 
+The search, ``enumerate_words`` and the task split all walk one
+successor table, ``_SUCCESSORS``.  It codes symbols as the intersect
+module does, letters 0-3 and boundary digit d as d + 3, and lists for
+each symbol the letters and the closing digits that may follow it, in
+ASCII order, each with the shape of the segment between the two.
+Which symbol may follow which is read from the word grammar
+(``words._STUCK`` and the inverse-letter rule, the two facts
+``parse_word`` checks), and each shape from the engine's
+``intersect._PAIR_SHAPES``.
+
 Each undecidable pair belongs to a chain, and the search charges it
 by the word engine's rule and with the word engine's rows (see the
 intersect module): once, at the member whose larger segment index is
@@ -58,29 +68,26 @@ import os
 from collections import Counter
 from typing import NamedTuple
 
-from .intersect import _kernel_tables
-from .planar import CORNER_ITEM, EDGE_ITEM, FAR_WAIST_ITEM
-from .words import ArcWord, _CLASHING_FAMILY
+from .intersect import _PAIR_SHAPES, _kernel_tables
+from .words import (LETTER_CHARS, SEAM_CHARS, ArcWord, _STUCK, _data_lines,
+                    invert_code)
 
 # every arc with no self-crossing at all, up to free homotopy
 SIMPLE_WORDS = ("12", "13", "21", "23", "31", "32", "33", "1b1", "1B1", "2a2", "2A2")
 
-# letter codes in the ASCII order of their characters: A, B, a, b
-_LEX_CODES = (1, 3, 0, 2)
+# the character of each symbol code: letters 0-3, boundary digit d as d + 3
+_SYMBOL_CHARS = LETTER_CHARS + SEAM_CHARS
 
-# admissible closing digits by family of the last crossing, ascending
-_ENDS_FOR_FAMILY = ((2, 3), (1, 3))
-
-# shapes of the last segment after the last letter, in the order of
-# the closing digits
-_CLOSING_SHAPES = tuple(
-    tuple(EDGE_ITEM[last ^ 1] << 3
-          | (CORNER_ITEM[end] if end != 3 else FAR_WAIST_ITEM[last ^ 1])
-          for end in _ENDS_FOR_FAMILY[last >> 1])
-    for last in range(4))
-
-# crossing-free words, already in ASCII order
-_BARE_WORDS = ("12", "13", "21", "23", "31", "32", "33")
+# for each symbol, the letters and then the closing digits that may follow
+# it, each with the shape of the segment between the two, in the ASCII
+# order of their characters
+_SUCCESSORS = tuple(
+    tuple(tuple([(y, _PAIR_SHAPES[x << 3 | y])
+                 for y in sorted(ys, key=_SYMBOL_CHARS.__getitem__)
+                 if _SYMBOL_CHARS[x] + _SYMBOL_CHARS[y] not in _STUCK
+                 and (x > 3 or y != invert_code(x))])
+          for ys in (range(4), range(4, 7)))
+    for x in range(7))
 
 
 class BudgetExceeded(RuntimeError):
@@ -104,29 +111,20 @@ def enumerate_words(word_length: int):
     """Yield every valid word of the given length in ASCII order."""
     if word_length < 2:
         raise ValueError("a word has at least two symbols")
-    if word_length == 2:
-        for text in _BARE_WORDS:
-            yield ArcWord(int(text[0]), (), int(text[1]))
-        return
     L = word_length - 2
     letters = [0] * L
 
-    def grow(k):
+    def grow(k, prev):
         if k == L:
-            for end in _ENDS_FOR_FAMILY[letters[-1] >> 1]:
-                yield ArcWord(start, tuple(letters), end)
+            for end, _ in _SUCCESSORS[prev][1]:
+                yield ArcWord(start, tuple(letters), end - 3)
             return
-        banned = letters[k - 1] ^ 1 if k else None
-        for c in _LEX_CODES:
-            if c == banned:
-                continue
-            if k == 0 and c >> 1 == _CLASHING_FAMILY.get(start):
-                continue
+        for c, _ in _SUCCESSORS[prev][0]:
             letters[k] = c
-            yield from grow(k + 1)
+            yield from grow(k + 1, c)
 
     for start in (1, 2, 3):
-        yield from grow(0)
+        yield from grow(0, start + 3)
 
 
 # one (start, first crossing) task per orbit, with letter codes
@@ -137,12 +135,8 @@ _ORBIT_SIZE = 4
 
 
 def _first_letter_tasks():
-    tasks = []
-    for start in (1, 2, 3):
-        for c in _LEX_CODES:
-            if c >> 1 != _CLASHING_FAMILY.get(start):
-                tasks.append((start, c))
-    return tasks
+    return [(start, c) for start in (1, 2, 3)
+            for c, _ in _SUCCESSORS[start + 3][0]]
 
 
 def _census_task(word_length, start, first):
@@ -164,20 +158,16 @@ def _census_task(word_length, start, first):
         # start, so one step prices every chain they share
         y = from_bytes(priced, "little")
         residual = (shapes | y & kept | (y & moved) << 15).to_bytes(k, "little")
+        letters, ends = _SUCCESSORS[prev]
         if k == L:
-            for cs in _CLOSING_SHAPES[prev]:
+            for _, cs in ends:
                 hist[subtotal + residual.translate(rows[cs]).count(1)] += 1
             return
-        f = EDGE_ITEM[prev ^ 1] << 3
-        for c in _LEX_CODES:
-            if c == prev ^ 1:
-                continue
-            cs = f | EDGE_ITEM[c]
+        for c, cs in letters:
             priced = residual.translate(rows[cs])
             grow(k + 1, c, shapes << 8 | cs, priced, subtotal + priced.count(1))
 
-    head = CORNER_ITEM[start] if start != 3 else FAR_WAIST_ITEM[first]
-    grow(1, first, head << 3 | EDGE_ITEM[first], b"", 0)
+    grow(1, first, _PAIR_SHAPES[(start + 3) << 3 | first], b"", 0)
     return hist
 
 
@@ -320,14 +310,9 @@ def check_conjectured_max(word_length: int) -> bool:
 
 def load_reference_minmax() -> dict:
     """The packaged census extremes, word length -> (min i, max i)."""
-    import importlib.resources
-
-    text = (importlib.resources.files("pantsarc")
-            .joinpath("data/census_minmax.csv").read_text())
     out = {}
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line or line.startswith("word_length"):
+    for line in _data_lines("census_minmax.csv"):
+        if line.startswith("word_length"):
             continue
         wl, lo, hi = line.split(",")
         out[int(wl)] = (int(lo), int(hi))

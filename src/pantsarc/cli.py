@@ -76,12 +76,9 @@ def _cmd_intersect(args):
     segments = json.dumps(list(t.labels), separators=(",", ":"))
     out.write(f'{{"word":{json.dumps(t.word)},"i":{t.total},'
               f'"segments":{segments},"grid":{{')
-    T = len(t.labels)
-    end = 0
-    for i in range(1, T):
-        start, end = end, end + T - i
+    for i, cells in t._grid_rows():
         row = ",".join([f'"{i},{j}":"{cell}"' for j, cell
-                        in enumerate(t.grid[start:end], i + 1)])
+                        in enumerate(cells, i + 1)])
         out.write(row if i == 1 else "," + row)
     out.write("}}\n")
     return OK
@@ -183,7 +180,14 @@ def _cmd_spectrum(args):
     verdict = "PASS" if not failures else "FAIL"
     _print(payload, args,
            f"{verdict}: {args.max + 1} targets, {len(failures)} failures")
-    return OK if not failures else VERIFY
+    if failures:
+        first = failures[0]
+        print(f"FAIL: {len(failures)} of {args.max + 1} targets, first "
+              f"{first['N']}: witness {first['word']} computes "
+              f"{first['i_computed']}, max quotient {first['max_quotient']}",
+              file=sys.stderr)
+        return VERIFY
+    return OK
 
 
 def _cmd_cover(args):

@@ -361,19 +361,25 @@ class Trace(_TraceFields):
     def render(self) -> str:
         return "\n".join(self._lines())
 
+    def _grid_rows(self):
+        """The grid one row at a time, as (i, the cells (i, i + 1) ..
+        (i, T)), for i from 1 to T - 1."""
+        T = len(self.labels)
+        end = 0
+        for i in range(1, T):
+            start, end = end, end + T - i
+            yield i, self.grid[start:end]
+
     def _lines(self):
         """The lines of ``render``, one at a time."""
-        T = len(self.labels)
         names = [f"w{k + 1}={lab}" for k, lab in enumerate(self.labels)]
         width = max(len(n) for n in names) + 2
         yield " " * width + "".join(n.ljust(width) for n in names[1:])
         gap = " " * (width - 1)
-        end = 0
-        for i in range(1, T):
-            # the cells (i, i + 1) .. (i, T), under w(i+1) .. wT
-            start, end = end, end + T - i
+        for i, cells in self._grid_rows():
+            # row i's cells sit under w(i+1) .. wT
             yield (names[i - 1].ljust(width) + " " * (width * (i - 1))
-                   + gap.join(self.grid[start:end]))
+                   + gap.join(cells))
         yield f"total = {self.total}"
 
 

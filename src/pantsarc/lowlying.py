@@ -19,7 +19,7 @@ from __future__ import annotations
 from math import isqrt
 from typing import NamedTuple
 
-from .words import ArcWord
+from .words import ArcWord, _data_lines
 
 
 class UnsupportedFamily(ValueError):
@@ -332,18 +332,9 @@ def pattern_low_lying(w: ArcWord, k: int = 4) -> LowLyingCheck:
 
 def load_reference_words(path=None) -> list:
     """The packaged (word, expected i) fixtures, or the file at path."""
-    if path is None:
-        import importlib.resources
-
-        text = (importlib.resources.files("pantsarc")
-                .joinpath("data/lowlying_words.csv").read_text())
-    else:
-        with open(path) as handle:
-            text = handle.read()
     out = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line or line.startswith("word,"):
+    for line in _data_lines("lowlying_words.csv", path):
+        if line.startswith("word,"):
             continue
         word, expected = line.rsplit(",", 1)
         out.append((word, int(expected)))

@@ -27,7 +27,7 @@ from __future__ import annotations
 import enum
 from typing import NamedTuple
 
-from .words import ArcWord
+from .words import ArcWord, _data_lines
 
 N_ITEMS = 8
 
@@ -177,15 +177,8 @@ def regenerate_tables():
 
 def load_reference_pairs():
     """The packaged classification of decidable segment-label pairs."""
-    import importlib.resources
-
-    text = (importlib.resources.files("pantsarc")
-            .joinpath("data/decidable_pairs.txt").read_text())
     out = {}
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line in _data_lines("decidable_pairs.txt"):
         name1, name2, verdict = line.split()
         out[(name1, name2)] = (Classification.INTERSECTING if verdict == "INT"
                                else Classification.NON_INTERSECTING)

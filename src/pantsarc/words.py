@@ -18,6 +18,7 @@ ending boundary (those corner segments retract as well).
 
 from __future__ import annotations
 
+import os
 from typing import NamedTuple
 
 LETTER_CHARS = "aAbB"
@@ -239,3 +240,14 @@ def positivize(w: ArcWord) -> ArcWord:
         return other
     raise RuntimeError(f"both positive rewrites of {w} raise its "
                        "self-intersection number")
+
+
+def _data_lines(name, path=None):
+    """The lines of the packaged data file ``name``, or of the file at
+    ``path``, with comments stripped and blank lines dropped."""
+    if path is None:
+        path = os.path.join(os.path.dirname(__file__), "data", name)
+    with open(path) as handle:
+        text = handle.read()
+    lines = [line.split("#", 1)[0].strip() for line in text.splitlines()]
+    return [line for line in lines if line]

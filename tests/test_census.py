@@ -1,6 +1,7 @@
 import multiprocessing
 import os
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -22,7 +23,7 @@ from pantsarc.census import (
     max_witness,
 )
 from pantsarc.intersect import self_intersection
-from pantsarc.words import LETTER_CHARS, parse_word
+from pantsarc.words import LETTER_CHARS, WordError, parse_word
 
 # the (start, first crossing) tasks, grouped into their orbits under
 # relabelling (1 <-> 2, a <-> b) and mirroring (a <-> A, b <-> B)
@@ -40,6 +41,14 @@ def test_count_matches_enumeration():
         assert len(list(enumerate_words(wl))) == count_words(wl)
 
 
+def _parses(text):
+    try:
+        parse_word(text)
+    except WordError:
+        return False
+    return True
+
+
 def test_enumeration_is_sorted_and_valid():
     for wl in (2, 3, 5, 6):
         texts = [str(w) for w in enumerate_words(wl)]
@@ -48,6 +57,11 @@ def test_enumeration_is_sorted_and_valid():
         for text in texts:
             assert str(parse_word(text)) == text
             assert parse_word(text).word_length == wl
+    # the successor table the walk steps admits exactly what the parser does
+    for wl in range(2, 7):
+        accepted = {text for text in map("".join, product("123aAbB", repeat=wl))
+                    if _parses(text)}
+        assert {str(w) for w in enumerate_words(wl)} == accepted
 
 
 def test_bare_words_enumerated():

@@ -100,17 +100,21 @@ def test_intersect_trace_json_builds_no_cells(capsys, monkeypatch):
 
 def test_intersect_imports_no_unused_stdlib():
     # a fresh process pays for every module the package imports; of
-    # these the commands need none, or only for a pooled census, a
-    # continued fraction or a packaged data file
+    # these the commands need none, or only for a pooled census or a
+    # continued fraction; the packaged data files are read next to the
+    # module, so the two commands that read them import nothing either
     unused = ("dataclasses", "inspect", "multiprocessing", "fractions",
               "importlib.resources")
+    commands = (["intersect", "1BABA2"], ["fixtures"], ["tables", "--verify"])
     code = ("import sys; from pantsarc import cli; "
-            "code = cli.main(['intersect', '1BABA2']); "
-            f"print(code, [m for m in {unused!r} if m in sys.modules])")
+            f"codes = [cli.main(argv) for argv in {commands!r}]; "
+            f"print(codes, [m for m in {unused!r} if m in sys.modules])")
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
-    assert proc.stdout == '{"word":"1BABA2","i":2}\n0 []\n', proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == '{"word":"1BABA2","i":2}', proc.stderr
+    assert lines[-1] == "[0, 0, 0] []", proc.stderr
 
 
 @pytest.mark.parametrize("fmt", ("json", "text"))
@@ -316,6 +320,70 @@ def test_fixtures_report_failures(capsys, tmp_path):
     assert payload["pass"] is False
     assert payload["failures"] == [
         {"word": "3aB1", "expected": 5, "computed": 3}]
+
+
+@pytest.fixture
+def off_by_one(monkeypatch):
+    """The CLI's engine, made to count one crossing too many."""
+    price = cli.self_intersection
+    monkeypatch.setattr(cli, "self_intersection", lambda w: price(w) + 1)
+
+
+def test_spectrum_reports_failures(capsys, off_by_one):
+    code, out, err = run(capsys, "spectrum", "--max", "20")
+    payload = json.loads(out)
+    assert code == 2
+    assert err.startswith("FAIL:")
+    assert payload["pass"] is False
+    assert [f["N"] for f in payload["failures"]] == list(range(21))
+    assert all(f["i_computed"] == f["N"] + 1 for f in payload["failures"])
+
+
+def test_witness_reports_failure(capsys, off_by_one):
+    code, out, err = run(capsys, "witness", "5")
+    payload = json.loads(out)
+    assert code == 2
+    assert err.startswith("FAIL:")
+    assert payload["N"] == 5 and payload["i_computed"] == 6
+
+
+def test_family_verify_reports_failure(capsys, off_by_one):
+    code, out, err = run(capsys, "family", "--id", "Z1", "--n", "1",
+                         "--m", "1", "--verify")
+    payload = json.loads(out)
+    assert code == 2
+    assert err.startswith("FAIL:")
+    assert payload["pass"] is False
+    assert payload["i_computed"] == payload["i"] + 1
+
+
+def test_tables_reports_a_missing_pair(capsys, monkeypatch):
+    reference = cli.load_reference_pairs()
+    dropped = min(reference)
+    verdict = reference.pop(dropped)
+    monkeypatch.setattr(cli, "load_reference_pairs", lambda: reference)
+    code, out, _ = run(capsys, "tables", "--verify")
+    payload = json.loads(out)
+    assert code == 2
+    assert payload["pass"] is False
+    assert payload["mismatches"] == [{"pair": list(dropped),
+                                      "regenerated": verdict.name,
+                                      "reference": None}]
+
+
+def test_cover_reports_a_missing_value(capsys, monkeypatch):
+    members = cli.value_set_members
+
+    def short(family, limit):
+        values = members(family, limit)
+        return values - {max(values)}
+
+    monkeypatch.setattr(cli, "value_set_members", short)
+    code, out, _ = run(capsys, "cover", "--max", "50")
+    payload = json.loads(out)
+    assert code == 2
+    assert payload["pass"] is False
+    assert not any(payload["identities"].values())
 
 
 def test_fixtures_missing_file(capsys, tmp_path):
