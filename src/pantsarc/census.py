@@ -68,7 +68,9 @@ import os
 from collections import Counter
 from typing import NamedTuple
 
-from .intersect import _PAIR_SHAPES, _kernel_tables
+from .intersect import (_PAIR_SHAPES, _kernel_tables,
+                        self_intersection)
+from .lowlying import family_intersections, family_word
 from .words import (LETTER_CHARS, SEAM_CHARS, ArcWord, _STUCK, _data_lines,
                     invert_code)
 
@@ -277,34 +279,31 @@ def length_bounds(word_length: int):
     return max(0, (L + 1) // 2 - 1), L * (L + 1) // 2
 
 
+def _max_ladder(word_length: int):
+    """Family and n of the ladder word with L = word_length - 2 crossings."""
+    L = word_length - 2
+    if L < 0:
+        raise ValueError("a word has at least two symbols")
+    return ("F2" if L % 2 == 0 else "F4"), L // 2
+
+
 def conjectured_max(word_length: int) -> int:
     """Conjectured largest i at one word length, matching every census run.
 
-    With L crossings this is L^2/4 + L for even L and (L^2 - 1)/4 + L
-    for odd L.
+    It is the closed form of the ladder member ``max_witness`` returns,
+    floor(L^2 / 4) + L with L crossings; that no word exceeds it is
+    empirical, not proved.
     """
-    L = word_length - 2
-    if L < 0:
-        raise ValueError("a word has at least two symbols")
-    return L * L // 4 + L
+    return family_intersections(*_max_ladder(word_length))
 
 
 def max_witness(word_length: int) -> ArcWord:
-    """A word attaining the conjectured maximum at its length."""
-    L = word_length - 2
-    if L < 0:
-        raise ValueError("a word has at least two symbols")
-    if L % 2 == 0:
-        if L == 0:
-            return ArcWord(1, (), 3)
-        return ArcWord(1, (2, 1) * (L // 2), 3)
-    return ArcWord(3, (2, 1) * (L // 2) + (2,), 3)
+    """A word attaining the conjectured maximum: F2 at even L, F4 at odd L."""
+    return family_word(*_max_ladder(word_length))
 
 
 def check_conjectured_max(word_length: int) -> bool:
     """Whether the witness word really attains the conjectured maximum."""
-    from .intersect import self_intersection
-
     return self_intersection(max_witness(word_length)) == conjectured_max(word_length)
 
 

@@ -19,10 +19,10 @@ from .lowlying import (
     _COVER_FAMILIES,
     _SPORADIC_VALUES,
     continued_fraction_value,
+    decompose,
     family_intersections,
     family_quotients,
     family_word,
-    in_value_set,
     load_reference_words,
     value_set_members,
     witness,
@@ -42,6 +42,12 @@ def _print(payload, args, text):
         print(json.dumps(payload, separators=(",", ":")))
     else:
         print(text)
+
+
+def _fail(message):
+    """Name a verification failure on standard error; the exit code."""
+    print(f"FAIL: {message}", file=sys.stderr)
+    return VERIFY
 
 
 def _cmd_validate(args):
@@ -143,35 +149,37 @@ def _cmd_family(args):
     lines = [f"{k}: {payload[k]}" for k in payload]
     _print(payload, args, "\n".join(lines))
     if args.verify and not payload["pass"]:
-        print(f"FAIL: {args.id} n={args.n} m={args.m}: closed form "
-              f"{payload['i']}, computed {payload['i_computed']}",
-              file=sys.stderr)
-        return VERIFY
+        return _fail(f"{args.id} n={args.n} m={args.m}: closed form "
+                     f"{payload['i']}, computed {payload['i_computed']}")
     return OK
 
 
-def _cmd_witness(args):
-    wit = witness(args.N)
+def _checked_witness(target):
+    """Witness, computed i, and whether it is 2-low-lying with i = target."""
+    wit = witness(target)
     computed = self_intersection(wit.word)
+    return wit, computed, computed == target and max(wit.quotients) <= 2
+
+
+def _cmd_witness(args):
+    wit, computed, ok = _checked_witness(args.N)
     payload = {"N": wit.target, "family": wit.family, "n": wit.n,
                "m": wit.m, "word": str(wit.word), "i_computed": computed,
                "cf": list(wit.quotients),
                "max_quotient": max(wit.quotients)}
     lines = [f"{k}: {payload[k]}" for k in payload]
     _print(payload, args, "\n".join(lines))
-    if computed != wit.target:
-        print(f"FAIL: witness for {wit.target} computes {computed}",
-              file=sys.stderr)
-        return VERIFY
+    if not ok:
+        return _fail(f"witness {wit.word} for {wit.target} computes "
+                     f"{computed}, max quotient {max(wit.quotients)}")
     return OK
 
 
 def _cmd_spectrum(args):
     failures = []
     for target in range(args.max + 1):
-        wit = witness(target)
-        computed = self_intersection(wit.word)
-        if computed != target or max(wit.quotients) > 2:
+        wit, computed, ok = _checked_witness(target)
+        if not ok:
             failures.append({"N": target, "family": wit.family,
                              "word": str(wit.word), "i_computed": computed,
                              "max_quotient": max(wit.quotients)})
@@ -182,21 +190,20 @@ def _cmd_spectrum(args):
            f"{verdict}: {args.max + 1} targets, {len(failures)} failures")
     if failures:
         first = failures[0]
-        print(f"FAIL: {len(failures)} of {args.max + 1} targets, first "
-              f"{first['N']}: witness {first['word']} computes "
-              f"{first['i_computed']}, max quotient {first['max_quotient']}",
-              file=sys.stderr)
-        return VERIFY
+        return _fail(f"{len(failures)} of {args.max + 1} targets, first "
+                     f"{first['N']}: witness {first['word']} computes "
+                     f"{first['i_computed']}, max quotient "
+                     f"{first['max_quotient']}")
     return OK
 
 
 def _cmd_cover(args):
     limit = args.max
-    members = {fam: value_set_members(fam, limit)
-               for fam in _COVER_FAMILIES}
-    identities = {fam: vals == {v for v in range(limit + 1)
-                                if in_value_set(fam, v)}
-                  for fam, vals in members.items()}
+    members = {fam: value_set_members(fam, limit) for fam in _COVER_FAMILIES}
+    groups = {fam: set() for fam in FAMILIES}
+    for v in range(limit + 1):
+        groups[decompose(v).family].add(v)
+    identities = {fam: vals == groups[fam] for fam, vals in members.items()}
     union = set().union(*members.values()) | set(_SPORADIC_VALUES)
     gaps = sorted(set(range(limit + 1)) - union)
     ok = not gaps and all(identities.values())
@@ -206,7 +213,14 @@ def _cmd_cover(args):
     _print(payload, args,
            f"{verdict}: values 0..{limit}, {len(gaps)} gaps, identities "
            + ("all hold" if all(identities.values()) else "violated"))
-    return OK if ok else VERIFY
+    if ok:
+        return OK
+    # a gap also breaks the identity of the family decompose puts it in
+    v = min(set().union(*(vals ^ groups[f] for f, vals in members.items())))
+    reached = [f for f, vals in members.items() if v in vals]
+    return _fail(f"{len(gaps)} gaps, first mismatch {v}: decompose gives "
+                 f"{decompose(v).family}, the parameterizations give "
+                 f"{', '.join(reached) or 'none'}")
 
 
 def _cmd_tables(args):
@@ -227,7 +241,12 @@ def _cmd_tables(args):
            f"{verdict}: {len(regenerated)} regenerated vs "
            f"{len(reference)} reference pairs, "
            f"{len(mismatches)} mismatches")
-    return OK if not mismatches else VERIFY
+    if mismatches:
+        first = mismatches[0]
+        return _fail(f"{len(mismatches)} mismatches, first pair "
+                     f"{first['pair']}: regenerated {first['regenerated']}, "
+                     f"reference {first['reference']}")
+    return OK
 
 
 def _cmd_cf(args):
@@ -260,7 +279,12 @@ def _cmd_fixtures(args):
     verdict = "PASS" if not failures else "FAIL"
     _print(payload, args,
            f"{verdict}: {len(rows)} rows, {len(failures)} failures")
-    return OK if not failures else VERIFY
+    if failures:
+        first = failures[0]
+        return _fail(f"{len(failures)} of {len(rows)} rows, first "
+                     f"{first['word']}: expected {first['expected']}, "
+                     f"computed {first['computed']}")
+    return OK
 
 
 def _bound(text):

@@ -8,10 +8,12 @@ fractions whose quotients never exceed 2, so together they exhibit a
 2-low-lying arc for every target number: ``decompose`` picks the
 family and parameters hitting a requested count exactly.
 
-The same value sets admit a second description as ranges of shifted
-squares, which makes membership a constant-time test; ``in_value_set``
-implements that form and ``value_set_members`` the original
-parameterization, so the two can be played against each other.
+``decompose`` holds the second description of the Z value sets, as
+ranges of shifted squares, and inverts the catalog exactly, so the Z
+value sets and the sporadic values {2, 7} partition the naturals and
+``in_value_set`` and ``covering_family`` each make one call to it.
+The ``cover`` command checks it against ``value_set_members``, which
+enumerates the parameterization.
 """
 
 from __future__ import annotations
@@ -24,10 +26,6 @@ from .words import ArcWord, _data_lines
 
 class UnsupportedFamily(ValueError):
     """The family does not provide the requested data."""
-
-
-def _rep(block, times):
-    return tuple(block) * times
 
 
 class Family(NamedTuple):
@@ -44,36 +42,36 @@ class Family(NamedTuple):
 FAMILIES = {
     # single-parameter ladders; no bounded continued fraction attached
     "F1": Family("F1", False,
-                 lambda n, m: ArcWord(1, _rep((3, 1), n), 2),
+                 lambda n, m: ArcWord(1, (3, 1) * n, 2),
                  lambda n, m: n),
     "F2": Family("F2", False,
-                 lambda n, m: ArcWord(1, _rep((2, 1), n), 3),
+                 lambda n, m: ArcWord(1, (2, 1) * n, 3),
                  lambda n, m: n * n + 2 * n),
     "F3": Family("F3", False,
-                 lambda n, m: ArcWord(1, _rep((3, 1), n) + (3,), 1),
+                 lambda n, m: ArcWord(1, (3, 1) * n + (3,), 1),
                  lambda n, m: n),
     "F4": Family("F4", False,
-                 lambda n, m: ArcWord(3, _rep((2, 1), n) + (2,), 3),
+                 lambda n, m: ArcWord(3, (2, 1) * n + (2,), 3),
                  lambda n, m: n * n + 3 * n + 1),
     # two-parameter families with quotients bounded by 2
     "Z1": Family("Z1", True,
-                 lambda n, m: ArcWord(1, _rep((2, 1), n) + (2, 0, 2) + _rep((1, 3, 1), m), 2),
+                 lambda n, m: ArcWord(1, (2, 1) * n + (2, 0, 2) + (1, 3, 1) * m, 2),
                  lambda n, m: (m + n + 1) ** 2 + 2 * m + n,
                  lambda n, m: (2,) * (2 * n) + (1, 2, 1, 1) + (2,) * (2 * m - 1) + (1,)),
     "Z2": Family("Z2", True,
-                 lambda n, m: ArcWord(1, _rep((2, 1), n) + _rep((2, 0, 0), m), 2),
+                 lambda n, m: ArcWord(1, (2, 1) * n + (2, 0, 0) * m, 2),
                  lambda n, m: (m + n) ** 2 + 2 * m + 3 * n,
                  lambda n, m: (2,) * (2 * n) + (1, 1) + (2,) * (2 * m - 1) + (1,)),
     "Z3": Family("Z3", False,
-                 lambda n, m: ArcWord(1, _rep((2, 1), n + 2) + (2, 0), 3),
+                 lambda n, m: ArcWord(1, (2, 1) * (n + 2) + (2, 0), 3),
                  lambda n, m: (n + 4) ** 2 - 2,
                  lambda n, m: (2,) * (2 * (n + 2)) + (1, 1, 1, 1)),
     "Z4": Family("Z4", False,
-                 lambda n, m: ArcWord(1, _rep((2, 1), n) + (2,), 1),
+                 lambda n, m: ArcWord(1, (2, 1) * n + (2,), 1),
                  lambda n, m: n * (n + 3),
                  lambda n, m: (2,) * (2 * n) + (1, 1)),
     "Z5": Family("Z5", False,
-                 lambda n, m: ArcWord(1, _rep((2, 1), n) + (2, 0), 2),
+                 lambda n, m: ArcWord(1, (2, 1) * n + (2, 0), 2),
                  lambda n, m: n * (n + 3) + 1,
                  lambda n, m: (2,) * (2 * n) + (1, 1, 1)),
     # two sporadic values the Z families miss
@@ -147,21 +145,22 @@ class Decomposition(NamedTuple):
     m: int | None
 
 
+_COVER_FAMILIES = ("Z1", "Z2", "Z3", "Z4", "Z5")
+
+_SPORADIC_VALUES = {2: "C2", 7: "C7"}
+
+
 def decompose(target: int) -> Decomposition:
     """Family and parameters of a 2-low-lying arc with ``target`` crossings.
 
-    Writes target = j^2 + i0 with -j <= i0 <= j - 1 and reads the
-    family off the offset i0; the values 0, 2 and 7 need their own
-    words.
+    Writes target = j^2 + i0 with -j <= i0 <= j - 1 and reads the Z
+    family and parameters off the offset i0, the exact inverse of their
+    closed forms; 2 and 7 lie in no Z value set and need words of their own.
     """
     if target < 0:
         raise ValueError("a self-intersection number is nonnegative")
-    if target == 0:
-        return Decomposition("Z4", 0, None)
-    if target == 2:
-        return Decomposition("C2", 0, None)
-    if target == 7:
-        return Decomposition("C7", 0, None)
+    if target in _SPORADIC_VALUES:
+        return Decomposition(_SPORADIC_VALUES[target], 0, None)
     r = isqrt(target)
     j = r if target <= r * r + r - 1 else r + 1
     i0 = target - j * j
@@ -200,50 +199,25 @@ def witness(target: int) -> WitnessArc:
 # --- value sets of the Z families, and the covering of all targets ---
 
 def in_value_set(family_id: str, value: int) -> bool:
-    """Whether some member of the family has this intersection number.
-
-    Uses the shifted-square description of each value set, so the test
-    costs one integer square root.
-    """
+    """Whether some member of the Z family has this intersection number:
+    the Z value sets are disjoint, so only the one ``decompose`` picks."""
     if value < 0:
         return False
-    if family_id == "Z1":
-        s = isqrt(value)
-        return s >= 2 and s * s + s <= value <= s * s + 2 * s - 2
-    if family_id == "Z2":
-        s = isqrt(value + 1) - 1
-        return s >= 1 and s * s + 2 * s <= value <= s * s + 3 * s - 1
-    if family_id == "Z3":
-        r = isqrt(value + 2)
-        return r >= 4 and r * r == value + 2
-    if family_id == "Z4":
-        r = isqrt(4 * value + 9)
-        return r * r == 4 * value + 9
-    if family_id == "Z5":
-        return value >= 1 and in_value_set("Z4", value - 1)
-    raise UnsupportedFamily(f"no value-set rule for family {family_id!r}")
-
-
-_COVER_FAMILIES = ("Z1", "Z2", "Z3", "Z4", "Z5")
-
-_SPORADIC_VALUES = {2: "C2", 7: "C7"}
+    if family_id not in _COVER_FAMILIES:
+        raise UnsupportedFamily(f"no value-set rule for family {family_id!r}")
+    return decompose(value).family == family_id
 
 
 def covering_family(value: int) -> str:
-    """Name of a family whose value set contains ``value``."""
-    if value in _SPORADIC_VALUES:
-        return _SPORADIC_VALUES[value]
-    for family_id in _COVER_FAMILIES:
-        if in_value_set(family_id, value):
-            return family_id
-    raise AssertionError(f"value {value} escaped the covering families")
+    """Name of the one family whose value set contains ``value``."""
+    return decompose(value).family
 
 
 def value_set_members(family_id: str, limit: int) -> set:
     """All values of the family up to ``limit``, from the parameterization.
 
     Enumerates the closed form over its parameter grid, independent of
-    the shifted-square membership test.
+    the shifted squares of ``decompose``.
     """
     if family_id not in _COVER_FAMILIES:
         raise UnsupportedFamily(f"no value-set rule for family {family_id!r}")

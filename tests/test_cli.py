@@ -314,9 +314,10 @@ def test_fixtures_packaged(capsys):
 def test_fixtures_report_failures(capsys, tmp_path):
     bad = tmp_path / "rows.csv"
     bad.write_text("word,expected_i\n1BABA2,2\n3aB1,5\n")
-    code, out, _ = run(capsys, "fixtures", "--file", str(bad))
+    code, out, err = run(capsys, "fixtures", "--file", str(bad))
     payload = json.loads(out)
     assert code == 2
+    assert err.startswith("FAIL:") and "3aB1" in err
     assert payload["pass"] is False
     assert payload["failures"] == [
         {"word": "3aB1", "expected": 5, "computed": 3}]
@@ -347,6 +348,24 @@ def test_witness_reports_failure(capsys, off_by_one):
     assert payload["N"] == 5 and payload["i_computed"] == 6
 
 
+@pytest.mark.parametrize("argv", [("witness", "5"), ("spectrum", "--max", "5")])
+def test_witness_above_the_quotient_bound_fails(capsys, monkeypatch, argv):
+    # a witness that counts right but is only 3-low-lying
+    def high(target):
+        wit = witness(target)
+        return wit._replace(quotients=wit.quotients + (3,))
+
+    monkeypatch.setattr(cli, "witness", high)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("FAIL:")
+    payload = json.loads(out)
+    if argv[0] == "witness":
+        assert payload["i_computed"] == 5 and payload["max_quotient"] == 3
+    else:
+        assert [f["max_quotient"] for f in payload["failures"]] == [3] * 6
+
+
 def test_family_verify_reports_failure(capsys, off_by_one):
     code, out, err = run(capsys, "family", "--id", "Z1", "--n", "1",
                          "--m", "1", "--verify")
@@ -362,9 +381,10 @@ def test_tables_reports_a_missing_pair(capsys, monkeypatch):
     dropped = min(reference)
     verdict = reference.pop(dropped)
     monkeypatch.setattr(cli, "load_reference_pairs", lambda: reference)
-    code, out, _ = run(capsys, "tables", "--verify")
+    code, out, err = run(capsys, "tables", "--verify")
     payload = json.loads(out)
     assert code == 2
+    assert err.startswith("FAIL:")
     assert payload["pass"] is False
     assert payload["mismatches"] == [{"pair": list(dropped),
                                       "regenerated": verdict.name,
@@ -379,9 +399,10 @@ def test_cover_reports_a_missing_value(capsys, monkeypatch):
         return values - {max(values)}
 
     monkeypatch.setattr(cli, "value_set_members", short)
-    code, out, _ = run(capsys, "cover", "--max", "50")
+    code, out, err = run(capsys, "cover", "--max", "50")
     payload = json.loads(out)
     assert code == 2
+    assert err.startswith("FAIL:")
     assert payload["pass"] is False
     assert not any(payload["identities"].values())
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, strategies as st
@@ -122,19 +123,45 @@ def test_witness_words_check_out():
         assert max(wit.quotients) <= 2
 
 
+Z_FAMILIES = ("Z1", "Z2", "Z3", "Z4", "Z5")
+
+
 def test_value_sets_match_membership_predicate():
-    for fam_id in ("Z1", "Z2", "Z3", "Z4", "Z5"):
+    for fam_id in Z_FAMILIES:
         members = value_set_members(fam_id, 400)
         assert members == {v for v in range(401) if in_value_set(fam_id, v)}
+        assert not in_value_set(fam_id, -1)
+    with pytest.raises(UnsupportedFamily):
+        in_value_set("F1", 3)
 
 
 def test_covering_family_is_consistent():
-    for value in range(400):
+    members = {fam_id: value_set_members(fam_id, 400) for fam_id in Z_FAMILIES}
+    for value in range(401):
         fam_id = covering_family(value)
         if fam_id in ("C2", "C7"):
             assert value in (2, 7)
         else:
-            assert in_value_set(fam_id, value)
+            assert value in members[fam_id]
+
+
+def test_z_value_sets_partition_the_naturals():
+    # judged from the parameterization alone, then held against decompose
+    limit = 10 ** 4
+    members = {fam_id: value_set_members(fam_id, limit) for fam_id in Z_FAMILIES}
+    for value in range(limit + 1):
+        holders = [fam_id for fam_id in Z_FAMILIES if value in members[fam_id]]
+        if value in (2, 7):
+            assert holders == []
+        else:
+            assert holders == [decompose(value).family]
+    for fam_id in Z_FAMILIES:
+        fam = FAMILIES[fam_id]
+        ms = range(1, isqrt(limit) + 2) if fam.needs_m else (None,)
+        for n in range(isqrt(limit) + 1):
+            for m in ms:
+                if fam.value(n, m) <= limit:
+                    assert decompose(fam.value(n, m)) == (fam_id, n, m)
 
 
 @given(st.integers(0, 100000))
