@@ -7,15 +7,12 @@ segment pair inside that prefix, so the walk is a depth-first search
 over letters that carries a running subtotal per tree node instead of
 re-pricing each word from scratch.
 
-The search, ``enumerate_words`` and the task split all walk one
-successor table, ``_SUCCESSORS``.  It codes symbols as the intersect
-module does, letters 0-3 and boundary digit d as d + 3, and lists for
-each symbol the letters and the closing digits that may follow it, in
-ASCII order, each with the shape of the segment between the two.
-Which symbol may follow which is read from the word grammar
-(``words._STUCK`` and the inverse-letter rule, the two facts
-``parse_word`` checks), and each shape from the engine's
-``intersect._PAIR_SHAPES``.
+The search, ``enumerate_words`` and the task split all walk the
+planar module's successor table, ``_SUCCESSORS``.  It codes symbols
+as the intersect module does, letters 0-3 and boundary digit d as
+d + 3, and lists for each symbol the letters and the closing digits
+that may follow it, in ASCII order, each with the shape of the
+segment between the two.
 
 Each undecidable pair belongs to a chain, and the search charges it
 by the word engine's rule and with the word engine's rows (see the
@@ -68,29 +65,13 @@ import os
 from collections import Counter
 from typing import NamedTuple
 
-from .intersect import (_PAIR_SHAPES, _kernel_tables,
-                        self_intersection)
+from .intersect import _kernel_tables, self_intersection
 from .lowlying import family_intersections, family_word
-from .words import (LETTER_CHARS, SEAM_CHARS, ArcWord, _STUCK, _data_lines,
-                    invert_code)
+from .planar import _PAIR_SHAPES, _SUCCESSORS
+from .words import ArcWord, _data_lines
 
 # every arc with no self-crossing at all, up to free homotopy
 SIMPLE_WORDS = ("12", "13", "21", "23", "31", "32", "33", "1b1", "1B1", "2a2", "2A2")
-
-# the character of each symbol code: letters 0-3, boundary digit d as d + 3
-_SYMBOL_CHARS = LETTER_CHARS + SEAM_CHARS
-
-# for each symbol, the letters and then the closing digits that may follow
-# it, each with the shape of the segment between the two, in the ASCII
-# order of their characters
-_SUCCESSORS = tuple(
-    tuple(tuple([(y, _PAIR_SHAPES[x << 3 | y])
-                 for y in sorted(ys, key=_SYMBOL_CHARS.__getitem__)
-                 if _SYMBOL_CHARS[x] + _SYMBOL_CHARS[y] not in _STUCK
-                 and (x > 3 or y != invert_code(x))])
-          for ys in (range(4), range(4, 7)))
-    for x in range(7))
-
 
 class BudgetExceeded(RuntimeError):
     """A census was requested beyond the supported size without opting in."""

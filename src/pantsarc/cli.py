@@ -274,11 +274,14 @@ def _cmd_fixtures(args):
         if computed != expected:
             failures.append({"word": text, "expected": expected,
                              "computed": computed})
+    passed = bool(rows) and not failures
     payload = {"file": args.file or "packaged", "rows": len(rows),
-               "failures": failures, "pass": not failures}
-    verdict = "PASS" if not failures else "FAIL"
+               "failures": failures, "pass": passed}
+    verdict = "PASS" if passed else "FAIL"
     _print(payload, args,
            f"{verdict}: {len(rows)} rows, {len(failures)} failures")
+    if not rows:
+        return _fail(f"no fixture rows in {payload['file']}")
     if failures:
         first = failures[0]
         return _fail(f"{len(failures)} of {len(rows)} rows, first "

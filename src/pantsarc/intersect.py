@@ -21,7 +21,8 @@ alone.  One builder, ``_rows``, makes every byte table below from it,
 for a column of the count or a row of ``trace``.  ``resolve_chain``
 walks a chain member by member, through ``_walk_chain``, to list the
 pairs it drags along; ``trace`` walks only the one chain that can merge
-into a boundary stretch at both word ends, in O(T).
+into a boundary stretch at both word ends, through the same
+``_walk_chain``, in O(T).
 
 The count charges each chain once, at the member whose larger segment
 index is largest, because that member is reached last: the
@@ -45,7 +46,7 @@ with the same rows.
 
 The shapes of a word come from one translate too: a segment's shape
 depends only on the two symbols around it, so all of them are one
-translate of the symbol pairs.
+translate of the symbol pairs, through ``planar._PAIR_SHAPES``.
 
 The steps presume a reduced word.  A crossing undone by its reverse
 leaves a segment that starts and ends on one side, where a chain can
@@ -65,9 +66,9 @@ digit in bit 0 or bit 1 set where the chain runs on past (p, q), and
 the verdicts handed on in bits 6 and 7, so row p + 1 is a few shifts
 away; one last translate writes the cells as the ASCII bytes 0, 1 and
 X.  At most one chain merges into a boundary stretch at both word ends:
-the chain through (0, T - 1), when fr[0] == to[T - 1].  Its rear
-verdict means nothing, so ``trace`` sets its terminal cell to 0 after
-the pass.
+the chain through (0, T - 1), when the first segment is the last one
+reversed.  Its rear verdict means nothing, so after the pass ``trace``
+finds its terminal member with ``_walk_chain`` and sets that cell to 0.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ import functools
 import itertools
 from typing import NamedTuple
 
-from .planar import DECISIONS, EDGE_ITEM, ITEM_LABELS, endpoint_items
+from .planar import _PAIR_SHAPES, DECISIONS, EDGE_ITEM, ITEM_LABELS
 from .words import ArcWord
 
 
@@ -92,30 +93,6 @@ def self_intersection(w: ArcWord) -> int:
     undone by its reverse (one built without ``parse_word``).
     """
     return _count(_shapes(w))
-
-
-def _pair_shape(x, y):
-    """The shape of the segment between two neighbouring symbols of a
-    word, letter codes as 0-3 and boundary digits d as d + 3.
-
-    A letter followed by its inverse makes a segment that starts and
-    ends on one cutting-arc side.  All four such shapes are written as
-    0, the shape of the one from side a to itself, so that one byte
-    search finds them.
-    """
-    if x < 4 and y == x ^ 1:
-        return 0
-    letters = tuple([c for c in (x, y) if c < 4])
-    fr, to = endpoint_items(x - 3 if x > 3 else 3, letters,
-                            y - 3 if y > 3 else 3)
-    # the segment after x: the first one when x is a boundary digit
-    k = int(x < 4)
-    return fr[k] << 3 | to[k]
-
-
-# the shape of a segment, indexed by its two symbols x << 3 | y
-_PAIR_SHAPES = bytes([_pair_shape(x, y) if x < 7 and y < 7 else 0
-                      for x in range(8) for y in range(8)]).ljust(256, b"\0")
 
 
 def _shapes(w: ArcWord):
@@ -190,7 +167,8 @@ def _rows(s, later):
     sets bit 1, the cell X.  The two never share an entry, so in a
     column every entry is 0, 1, 0x40 or 0x80.
     """
-    decided = DECISIONS[s::64] if later else DECISIONS[s << 6:(s + 1) << 6]
+    # DECISIONS is symmetric, so one slice serves both directions
+    decided = DECISIONS[s << 6:(s + 1) << 6]
     row = bytearray((decided * 2).ljust(256, b"\0"))
     runs_on = 0 if later else 2
     for x in range(64):
@@ -263,8 +241,16 @@ class Chain(NamedTuple):
         return self.members[-1]
 
 
-def _walk_chain(fr, to, T, p0, q0):
-    """Members and verdict of the chain through the undecidable (p0, q0)."""
+# the start and the end item of each shape, as translate tables
+_FROM = bytes([s >> 3 & 7 for s in range(256)])
+_TO = bytes([s & 7 for s in range(256)])
+
+
+def _walk_chain(sc, p0, q0):
+    """Members and verdict of the chain through the undecidable (p0, q0)
+    of a word with segment shapes ``sc``."""
+    fr, to = sc.translate(_FROM), sc.translate(_TO)
+    T = len(sc)
     parallel = to[p0] == to[q0] or fr[p0] == fr[q0]
     free = False
     p, q = p0, q0
@@ -322,7 +308,6 @@ def resolve_chain(w: ArcWord, i: int, j: int) -> Chain:
     chain it belongs to.
     """
     sc = _shapes(w)
-    fr, to = [s >> 3 for s in sc], [s & 7 for s in sc]
     T = len(sc)
     if not (1 <= i < j <= T):
         raise ValueError(f"need 1 <= i < j <= {T}, got ({i}, {j})")
@@ -330,7 +315,7 @@ def resolve_chain(w: ArcWord, i: int, j: int) -> Chain:
     c = DECISIONS[sc[p] << 6 | sc[q]]
     if c != 2:
         return Chain(((i, j),), False, False, c)
-    members, parallel, free, decision = _walk_chain(fr, to, T, p, q)
+    members, parallel, free, decision = _walk_chain(sc, p, q)
     return Chain(tuple([(a + 1, b + 1) for a, b in members]),
                  parallel, free, decision)
 
@@ -412,12 +397,10 @@ def trace(w: ArcWord) -> Trace:
                     | (y & moved) >> 17).to_bytes(T - 1 - p, "little")
         rows.append(residual.translate(table[sc[p]]))
     grid = bytearray().join(rows).translate(_CELLS)
-    if T > 1 and sc[0] >> 3 == sc[-1] & 7:
-        # the chain through (0, T - 1) merges into one boundary stretch
-        # at both word ends and is never charged
-        p, q = 0, T - 1
-        while sc[p] & 7 == sc[q] >> 3:
-            p, q = p + 1, q - 1
+    if T > 1 and sc[0] == (sc[-1] & 7) << 3 | sc[-1] >> 3:
+        # the first segment is the last one reversed: the free chain
+        # through (0, T - 1) is never charged
+        p, q = _walk_chain(sc, 0, T - 1)[0][-1]
         grid[p * (2 * T - p - 1) // 2 + q - p - 1] = ord("0")
     labels = tuple([ITEM_LABELS[s >> 3] + ITEM_LABELS[s & 7] for s in sc])
     return Trace(str(w), labels, grid.decode(), grid.count(b"1"))

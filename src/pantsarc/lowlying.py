@@ -310,6 +310,9 @@ def load_reference_words(path=None) -> list:
     for line in _data_lines("lowlying_words.csv", path):
         if line.startswith("word,"):
             continue
-        word, expected = line.rsplit(",", 1)
-        out.append((word, int(expected)))
+        try:
+            word, expected = line.rsplit(",", 1)
+            out.append((word, int(expected)))
+        except ValueError:
+            raise ValueError(f"fixture row {line!r} is not word,integer") from None
     return out

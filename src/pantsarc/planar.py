@@ -20,6 +20,13 @@ four endpoints distinct cross exactly when the endpoints interleave,
 chords meeting in a boundary stretch can be combed apart, and chords
 sharing a cutting-arc side are undecidable from the endpoints alone
 (the word must be followed further; see the intersect module).
+
+Which segments exist is fixed by the word grammar.  ``_SUCCESSORS``
+lists the symbols that may follow each symbol (``words._STUCK`` and
+the inverse-letter rule), each with its segment's shape from
+``_PAIR_SHAPES``.  The census walks it, the word engine reads
+``_PAIR_SHAPES``, and ``tables --verify`` checks ``SEGMENT_LABELS``,
+read off it, against the packaged decidable pairs.
 """
 
 from __future__ import annotations
@@ -27,7 +34,8 @@ from __future__ import annotations
 import enum
 from typing import NamedTuple
 
-from .words import ArcWord, _data_lines
+from .words import (LETTER_CHARS, SEAM_CHARS, ArcWord, _STUCK, _data_lines,
+                    invert_code)
 
 N_ITEMS = 8
 
@@ -78,6 +86,44 @@ def endpoint_items(start, letters, end):
     fr[L] = EDGE_ITEM[back]
     to[L] = CORNER_ITEM[end] if end != 3 else FAR_WAIST_ITEM[back]
     return fr, to
+
+
+def _pair_shape(x, y):
+    """The shape of the segment between two neighbouring symbols of a
+    word, letter codes as 0-3 and boundary digits d as d + 3.
+
+    A letter followed by its inverse makes a segment that starts and
+    ends on one cutting-arc side.  All four such shapes are written as
+    0, the shape of the one from side a to itself, so that one byte
+    search finds them.
+    """
+    if x < 4 and y == x ^ 1:
+        return 0
+    letters = tuple([c for c in (x, y) if c < 4])
+    fr, to = endpoint_items(x - 3 if x > 3 else 3, letters,
+                            y - 3 if y > 3 else 3)
+    # the segment after x: the first one when x is a boundary digit
+    k = int(x < 4)
+    return fr[k] << 3 | to[k]
+
+
+# the shape of a segment, indexed by its two symbols x << 3 | y
+_PAIR_SHAPES = bytes([_pair_shape(x, y) if x < 7 and y < 7 else 0
+                      for x in range(8) for y in range(8)]).ljust(256, b"\0")
+
+# the character of each symbol code: letters 0-3, boundary digit d as d + 3
+_SYMBOL_CHARS = LETTER_CHARS + SEAM_CHARS
+
+# for each symbol, the letters and then the closing digits that may follow
+# it in a word, each with the shape of the segment between the two, in
+# the ASCII order of their characters
+_SUCCESSORS = tuple(
+    tuple(tuple([(y, _PAIR_SHAPES[x << 3 | y])
+                 for y in sorted(ys, key=_SYMBOL_CHARS.__getitem__)
+                 if _SYMBOL_CHARS[x] + _SYMBOL_CHARS[y] not in _STUCK
+                 and (x > 3 or y != invert_code(x))])
+          for ys in (range(4), range(4, 7)))
+    for x in range(7))
 
 
 def segments(w: ArcWord):
@@ -131,30 +177,11 @@ def _build_decision_table():
 DECISIONS = _build_decision_table()
 
 
-def _all_labeled_segments():
-    """Every segment shape a word can produce, as label -> Segment."""
-    out = {}
-    for code in range(4):
-        edge = EDGE_ITEM[code]
-        far = FAR_WAIST_ITEM[code]
-        for corner_label, corner in (("1", 1), ("2", 5), ("3", far)):
-            seg = Segment(corner, edge)
-            if _adjacent(corner, edge):
-                continue
-            out[corner_label + ITEM_LABELS[edge]] = seg
-            out[ITEM_LABELS[edge] + corner_label] = Segment(edge, corner)
-        for other in range(4):
-            if other != code:
-                out[ITEM_LABELS[edge] + ITEM_LABELS[EDGE_ITEM[other]]] = (
-                    Segment(edge, EDGE_ITEM[other]))
-    return out
-
-
-def _adjacent(corner, edge):
-    return (edge - corner) % N_ITEMS == 1 or (corner - edge) % N_ITEMS == 1
-
-
-SEGMENT_LABELS = _all_labeled_segments()
+# every segment shape a word can produce, by label: the shape of each
+# symbol pair with a letter (two digits make a crossing-free word)
+SEGMENT_LABELS = {ITEM_LABELS[s >> 3] + ITEM_LABELS[s & 7]: Segment(s >> 3, s & 7)
+                  for x, (letters, ends) in enumerate(_SUCCESSORS)
+                  for y, s in letters + ends if x < 4 or y < 4}
 
 
 def regenerate_tables():

@@ -323,6 +323,25 @@ def test_fixtures_report_failures(capsys, tmp_path):
         {"word": "3aB1", "expected": 5, "computed": 3}]
 
 
+def test_fixtures_without_rows_fail(capsys, tmp_path):
+    empty = tmp_path / "rows.csv"
+    empty.write_text("word,expected_i\n# no rows yet\n")
+    code, out, err = run(capsys, "fixtures", "--file", str(empty))
+    assert code == 2
+    assert err == f"FAIL: no fixture rows in {empty}\n"
+    assert json.loads(out) == {"file": str(empty), "rows": 0,
+                               "failures": [], "pass": False}
+
+
+@pytest.mark.parametrize("row", ["1BABA2", "1BABA2,two"])
+def test_fixtures_name_a_malformed_row(capsys, tmp_path, row):
+    bad = tmp_path / "rows.csv"
+    bad.write_text(f"word,expected_i\n3aB1,3\n{row}\n")
+    code, out, err = run(capsys, "fixtures", "--file", str(bad))
+    assert code == 1 and out == ""
+    assert err == f"error: fixture row {row!r} is not word,integer\n"
+
+
 @pytest.fixture
 def off_by_one(monkeypatch):
     """The CLI's engine, made to count one crossing too many."""

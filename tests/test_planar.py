@@ -19,7 +19,7 @@ from pantsarc.planar import (
     regenerate_tables,
     segments,
 )
-from pantsarc.words import parse_word, invert_code
+from pantsarc.words import WordError, invert_code, parse_word
 
 from circle_oracle import chords_cross, item_points
 from conftest import arc_words
@@ -86,6 +86,28 @@ def test_decision_table_agrees_with_classify():
     for s, t in itertools.product(SEGMENT_LABELS.values(), repeat=2):
         packed = (s.fr << 3 | s.to) << 6 | t.fr << 3 | t.to
         assert DECISIONS[packed] == classify(s, t).value
+
+
+def test_decision_table_is_symmetric():
+    # every pair of 6-bit shapes, degenerate ones included, so that one
+    # slice of the table serves as a row and as a column
+    for a, b in itertools.product(range(64), repeat=2):
+        assert DECISIONS[a << 6 | b] == DECISIONS[b << 6 | a], (a, b)
+
+
+def test_segment_labels_match_the_parser():
+    # the catalog read off the successor table against the segments of
+    # every word of 3 or 4 symbols that parse_word accepts
+    seen = {}
+    for n in (3, 4):
+        for chars in itertools.product("123aAbB", repeat=n):
+            try:
+                w = parse_word("".join(chars))
+            except WordError:
+                continue
+            for seg in segments(w):
+                seen[seg.label()] = seg
+    assert seen == SEGMENT_LABELS
 
 
 def test_decision_table_covers_every_quadruple():
