@@ -270,7 +270,12 @@ def _cmd_fixtures(args):
     rows = load_reference_words(args.file)
     failures = []
     for text, expected in rows:
-        computed = self_intersection(parse_word(text))
+        try:
+            w = parse_word(text)
+        except WordError as exc:
+            row = f"{text},{expected}"
+            raise ValueError(f"fixture row {row!r}: {exc}") from None
+        computed = self_intersection(w)
         if computed != expected:
             failures.append({"word": text, "expected": expected,
                              "computed": computed})

@@ -34,15 +34,18 @@ the word one segment s at a time and sees every earlier segment p as a
 verdict at the end of p's chain with s that does not read to[s].
 Each segment shape has one row, indexed by the residual byte, and all
 pairs (p, s) go through one ``bytes.translate`` of the residual through
-the row of s's shape.  Bit 0 of the result is the price of (p, s), and
-what all pairs add is a count of the ones.  Bits 6 and 7 hand the
-verdict on where the chain through (p, s) runs on, through (p + 1,
-s + 1) when parallel (bit 6) or (p - 1, s + 1) when antiparallel
-(bit 7); the two never share an entry with a price of 1.  So the
-residual seen from s + 1 is the same translate, a few shifts, and the
-shapes of segments 0 to s.  ``_count`` steps a word of T segments in T
-steps of T bytes, all in C.  The census module prices its search trees
-with the same rows.
+the row of s's shape.  Bit 0 of the result is the price of (p, s).
+Bits 6 and 7 hand the verdict on where the chain through (p, s) runs
+on, through (p + 1, s + 1) when parallel (bit 6) or (p - 1, s + 1)
+when antiparallel (bit 7); the two never share an entry with a price
+of 1, so every entry a residual reaches is 0, 1, 0x40 or 0x80.  The
+step reads the result as one integer y, which the next step needs
+anyway, and what all pairs add is the popcount of y under a mask of
+the bit 0s.  The residual seen from s + 1 is the shapes of segments 0
+to s and one mask of y | y << 15: bit 6 stays in its byte, bit 7 lands
+on bit 6 two bytes up, and every other bit falls outside the mask.
+``_count`` steps a word of T segments in T steps of T bytes, all in C.
+The census module prices its search trees with the same rows.
 
 The shapes of a word come from one translate too: a segment's shape
 depends only on the two symbols around it, so all of them are one
@@ -63,12 +66,13 @@ exactly there.  Row p holds one residual byte per later segment q,
 with the rear verdict of the chain through (p, q) in bit 6.  One
 translate through the trace row of p's shape gives its cells, as a
 digit in bit 0 or bit 1 set where the chain runs on past (p, q), and
-the verdicts handed on in bits 6 and 7, so row p + 1 is a few shifts
-away; one last translate writes the cells as the ASCII bytes 0, 1 and
-X.  At most one chain merges into a boundary stretch at both word ends:
-the chain through (0, T - 1), when the first segment is the last one
-reversed.  Its rear verdict means nothing, so after the pass ``trace``
-finds its terminal member with ``_walk_chain`` and sets that cell to 0.
+the verdicts handed on in bits 6 and 7.  Read as an integer y, the
+row gives row p + 1 through one mask of y | y >> 17; one last
+translate writes the cells as the ASCII bytes 0, 1 and X.  At most one
+chain merges into a boundary stretch at both word ends: the chain
+through (0, T - 1), when the first segment is the last one reversed.
+Its rear verdict means nothing, so after the pass ``trace`` finds its
+terminal member with ``_walk_chain`` and sets that cell to 0.
 """
 
 from __future__ import annotations
@@ -126,6 +130,9 @@ def _strand_side(shared, into, item1, item2):
 
 # the ASCII trace cell of each row entry, by its low two bits
 _CELLS = b"01X\0" * 64
+
+# the label of each segment shape
+_LABELS = tuple([ITEM_LABELS[s >> 3] + ITEM_LABELS[s & 7] for s in range(64)])
 
 
 def _chain_ends(ps, qs):
@@ -209,18 +216,20 @@ def _count(sc):
     # chain's verdict stays in its byte and an antiparallel one moves
     # two bytes up
     ones = from_bytes(b"\x01" * T, "little")
-    kept, moved = ones << 6, ones << 7
+    kept = ones << 6
     shapes = from_bytes(sc, "big")
     shift = 8 * T
-    # the residual seen from segment 0 is empty
-    row, total = b"", 0
+    # the residual seen from segment 0 is empty; y is the previous
+    # translate read as an integer, each byte 0, 1, 0x40 or 0x80, so
+    # its prices are the popcount of y & ones, and under the one mask
+    # bit 6 stays in its byte, bit 7 lands on bit 6 two bytes up, and
+    # bits 0 and 6 land on bits 7 and 5, masked off
+    y = total = 0
     for k in range(1, T):
         shift -= 8
-        y = from_bytes(row, "little")
-        residual = (shapes >> shift | y & kept
-                    | (y & moved) << 15).to_bytes(k, "little")
-        row = residual.translate(rows[sc[k]])
-        total += row.count(1)
+        residual = (shapes >> shift | (y | y << 15) & kept).to_bytes(k, "little")
+        y = from_bytes(residual.translate(rows[sc[k]]), "little")
+        total += (y & ones).bit_count()
     return total
 
 
@@ -384,23 +393,26 @@ def trace(w: ArcWord) -> Trace:
     # byte and an antiparallel one moves two bytes down; the last byte
     # of a row never hands a parallel verdict on, since to[T - 1] is a
     # boundary stretch, so the row shrinks by one byte
-    ones = from_bytes(b"\x01" * T, "little")
-    kept, moved = ones << 6, ones << 7
+    kept = from_bytes(b"\x40" * T, "little")
     shapes = from_bytes(sc, "little")
     shift = 8
     # row 0: no chain runs on into it except the free one, fixed below
-    rows = [sc[1:].translate(table[sc[0]])]
+    row = sc[1:].translate(table[sc[0]])
+    rows = [row]
     for p in range(1, T - 1):
         shift += 8
-        y = from_bytes(rows[-1], "little")
-        residual = (shapes >> shift | y & kept
-                    | (y & moved) >> 17).to_bytes(T - 1 - p, "little")
-        rows.append(residual.translate(table[sc[p]]))
+        # under the one mask bit 6 of a row entry stays in its byte and
+        # bit 7 lands on bit 6 two bytes down; bits 0 and 1, the cell,
+        # and bit 6 shifted land on bits 7, 0 and 5, all masked off
+        y = from_bytes(row, "little")
+        row = (shapes >> shift | (y | y >> 17) & kept).to_bytes(
+            T - 1 - p, "little").translate(table[sc[p]])
+        rows.append(row)
     grid = bytearray().join(rows).translate(_CELLS)
     if T > 1 and sc[0] == (sc[-1] & 7) << 3 | sc[-1] >> 3:
         # the first segment is the last one reversed: the free chain
         # through (0, T - 1) is never charged
         p, q = _walk_chain(sc, 0, T - 1)[0][-1]
         grid[p * (2 * T - p - 1) // 2 + q - p - 1] = ord("0")
-    labels = tuple([ITEM_LABELS[s >> 3] + ITEM_LABELS[s & 7] for s in sc])
+    labels = tuple([_LABELS[s] for s in sc])
     return Trace(str(w), labels, grid.decode(), grid.count(b"1"))

@@ -26,8 +26,12 @@ SEAM_CHARS = "123"
 
 _CODE_OF = {ch: k for k, ch in enumerate(LETTER_CHARS)}
 
-# the letter code of each letter's ASCII byte
+# the letter code of each letter's ASCII byte, and back
 _CODE_BYTES = bytes.maketrans(LETTER_CHARS.encode(), bytes(range(4)))
+_LETTER_BYTES = bytes.maketrans(bytes(range(4)), LETTER_CHARS.encode())
+
+# the boundary of each digit
+_DIGITS = {ch: int(ch) for ch in SEAM_CHARS}
 
 # boundary digit -> letter family (0 = a, 1 = b) that may not sit next to it
 _CLASHING_FAMILY = {1: 0, 2: 1}
@@ -84,8 +88,9 @@ class ArcWord(NamedTuple):
         return len(self.letters) + 2
 
     def render(self) -> str:
-        mid = "".join(LETTER_CHARS[c] for c in self.letters)
-        return f"{self.start}{mid}{self.end}"
+        # the digits as their ASCII bytes, which the table leaves alone
+        return bytes([48 + self.start, *self.letters, 48 + self.end]).translate(
+            _LETTER_BYTES).decode()
 
     def __str__(self) -> str:
         return self.render()
@@ -105,8 +110,10 @@ def parse_word(text: str) -> ArcWord:
             and text[:2] not in _STUCK and text[-2:] not in _STUCK
             and "aA" not in mid and "Aa" not in mid
             and "bB" not in mid and "Bb" not in mid):
-        return ArcWord(int(text[0]), tuple(mid.encode().translate(_CODE_BYTES)),
-                       int(text[-1]))
+        # tuple.__new__ skips the argument handling of ArcWord(...)
+        return tuple.__new__(ArcWord, (
+            _DIGITS[text[0]], tuple(mid.encode().translate(_CODE_BYTES)),
+            _DIGITS[text[-1]]))
     return _scan(text)
 
 

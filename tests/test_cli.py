@@ -342,6 +342,15 @@ def test_fixtures_name_a_malformed_row(capsys, tmp_path, row):
     assert err == f"error: fixture row {row!r} is not word,integer\n"
 
 
+def test_fixtures_name_a_row_that_fails_to_parse(capsys, tmp_path):
+    bad = tmp_path / "rows.csv"
+    bad.write_text("word,expected_i\n3aB1,3\n1aA2,3\n")
+    code, out, err = run(capsys, "fixtures", "--file", str(bad))
+    assert code == 1 and out == ""
+    assert err == ("error: fixture row '1aA2,3': crossing 'a' retracts "
+                   "into boundary 1 (position 1)\n")
+
+
 @pytest.fixture
 def off_by_one(monkeypatch):
     """The CLI's engine, made to count one crossing too many."""

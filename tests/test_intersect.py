@@ -18,7 +18,7 @@ from pantsarc.intersect import (
     trace,
 )
 from pantsarc.lowlying import witness
-from pantsarc.planar import endpoint_items
+from pantsarc.planar import endpoint_items, segments
 from pantsarc.words import (
     ArcWord, inverse, is_positive, parse_word, positivize, relabel, seam_counts)
 
@@ -218,12 +218,14 @@ def test_count_matches_trace_and_chain_walks():
     # through length 10 and on long words; and against the chain walks
     # behind resolve_chain, the independent check, which share only
     # _strand_side with either, on every word through length 8 and on
-    # random words of lengths 11-30
+    # random words of lengths 11-30; the words of lengths 1000-3000
+    # carry the most prices and hand-ons per step
     rng = random.Random(4)
     words = [w for wl in range(2, 11) for w in enumerate_words(wl)]
     words += [random_word(rng, rng.randrange(50, 301)) for _ in range(20)]
     walked = [w for wl in range(2, 9) for w in enumerate_words(wl)]
     walked += [random_word(rng, rng.randrange(11, 31)) for _ in range(20)]
+    words += [random_word(rng, rng.randrange(1000, 3001)) for _ in range(4)]
     for w in words + walked[-20:]:
         assert self_intersection(w) == trace(w).total, str(w)
     for w in walked:
@@ -243,12 +245,42 @@ def test_shapes_match_the_endpoint_items():
 def test_kernel_rows_price_or_hand_on():
     # one row per shape; on every entry a residual byte can reach, a
     # row holds a price of 0 or 1 or hands a verdict on in bit 6 or 7,
-    # never both, so the count reads its prices with .count(1)
+    # never both: entries in {0, 1, 0x40, 0x80} are what make the
+    # count's popcount under & ones and its one hand-on mask exact
     rows = _kernel_tables()
     assert len(rows) == 64
     for row in rows:
         assert len(row) == 256
         assert set(row[:128]) <= {0, 1, 0x40, 0x80}
+
+
+def test_count_holds_one_residual_at_a_time():
+    # the count keeps O(T) bytes: a residual and its translate, never
+    # the rows of earlier steps; all T - 1 rows of this word joined
+    # would hold about 4.5 MB
+    word = witness(10**6).word
+    T = len(word.letters) + 1
+    tracemalloc.start()
+    try:
+        n = self_intersection(word)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert T == 2997 and n == 10**6
+    assert peak < 64 << 10, peak
+
+
+def test_labels_and_render_through_length_10():
+    # the label table against the segments' own labels, and the
+    # one-translate render against a join of the letters, which
+    # parses back to the word
+    for wl in range(2, 11):
+        for w in enumerate_words(wl):
+            assert trace(w).labels == tuple(s.label() for s in segments(w))
+            text = str(w)
+            mid = "".join("aAbB"[c] for c in w.letters)
+            assert text == f"{w.start}{mid}{w.end}"
+            assert parse_word(text) == w
 
 
 def test_trace_cells_follow_the_chain_walks():
