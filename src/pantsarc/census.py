@@ -62,10 +62,9 @@ that the four histograms of each orbit agree at every word length from
 from __future__ import annotations
 
 import os
-from collections import Counter
-from typing import NamedTuple
+from collections import Counter, namedtuple
 
-from .intersect import _kernel_tables, self_intersection
+from .intersect import _kernel_tables
 from .lowlying import family_intersections, family_word
 from .planar import _PAIR_SHAPES, _SUCCESSORS
 from .words import ArcWord, _data_lines
@@ -129,9 +128,8 @@ def _census_task(word_length, start, first):
     from_bytes = int.from_bytes
     # a residual as the word engine reads it: segment k - 1 in the low
     # byte, a parallel chain's verdict kept in its byte and an
-    # antiparallel one moved two bytes up
+    # antiparallel one moved two bytes up, both under _count's one mask
     kept = from_bytes(b"\x40" * L, "little")
-    moved = from_bytes(b"\x80" * L, "little")
     hist = Counter()
 
     def grow(k, prev, shapes, priced, subtotal):
@@ -140,7 +138,7 @@ def _census_task(word_length, start, first):
         # segment's row; the children of this node share segment k's
         # start, so one step prices every chain they share
         y = from_bytes(priced, "little")
-        residual = (shapes | y & kept | (y & moved) << 15).to_bytes(k, "little")
+        residual = (shapes | (y | y << 15) & kept).to_bytes(k, "little")
         letters, ends = _SUCCESSORS[prev]
         if k == L:
             for _, cs in ends:
@@ -154,14 +152,11 @@ def _census_task(word_length, start, first):
     return hist
 
 
-class CensusReport(NamedTuple):
+class CensusReport(namedtuple("CensusReport",
+                              "word_length word_count min_i max_i histogram")):
     """Distribution of self-intersection numbers at one word length."""
 
-    word_length: int
-    word_count: int
-    min_i: int
-    max_i: int
-    histogram: dict
+    __slots__ = ()
 
     def histogram_pairs(self):
         """The histogram as a sorted list of [value, count] pairs."""
@@ -281,11 +276,6 @@ def conjectured_max(word_length: int) -> int:
 def max_witness(word_length: int) -> ArcWord:
     """A word attaining the conjectured maximum: F2 at even L, F4 at odd L."""
     return family_word(*_max_ladder(word_length))
-
-
-def check_conjectured_max(word_length: int) -> bool:
-    """Whether the witness word really attains the conjectured maximum."""
-    return self_intersection(max_witness(word_length)) == conjectured_max(word_length)
 
 
 def load_reference_minmax() -> dict:

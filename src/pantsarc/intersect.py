@@ -79,7 +79,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import NamedTuple
+from collections import namedtuple
 
 from .planar import _PAIR_SHAPES, DECISIONS, EDGE_ITEM, ITEM_LABELS
 from .words import ArcWord
@@ -233,16 +233,13 @@ def _count(sc):
     return total
 
 
-class Chain(NamedTuple):
+class Chain(namedtuple("Chain", "members parallel free_end decision")):
     """A resolved segment pair: the members it drags along and the
     verdict shared by all of them.  Member pairs are 1-based.  A
     decidable pair stands alone as a one-member chain with its own
     verdict; ``parallel`` is False for those."""
 
-    members: tuple
-    parallel: bool
-    free_end: bool
-    decision: int
+    __slots__ = ()
 
     @property
     def terminal(self):
@@ -329,21 +326,16 @@ def resolve_chain(w: ArcWord, i: int, j: int) -> Chain:
                  parallel, free, decision)
 
 
-class _TraceFields(NamedTuple):
-    word: str
-    labels: tuple
-    grid: str
-    total: int
-
-
-class Trace(_TraceFields):
+class Trace(namedtuple("Trace", "word labels grid total")):
     """The full pair grid behind one self-intersection count.
 
     ``grid`` holds one cell "0", "1" or "X" per 1-based pair (i, j),
     i < j, row by row in ``itertools.combinations`` order: decided pairs
     carry their contribution, chain members defer to the forward-most
     member of their chain, which carries the digit for the whole chain
-    and is the only place a chain can add to the total.
+    and is the only place a chain can add to the total.  Unlike the
+    other records a trace has an instance ``__dict__``, which holds
+    ``cells`` once built.
     """
 
     @functools.cached_property

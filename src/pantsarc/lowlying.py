@@ -10,16 +10,16 @@ family and parameters hitting a requested count exactly.
 
 ``decompose`` holds the second description of the Z value sets, as
 ranges of shifted squares, and inverts the catalog exactly, so the Z
-value sets and the sporadic values {2, 7} partition the naturals and
-``in_value_set`` and ``covering_family`` each make one call to it.
-The ``cover`` command checks it against ``value_set_members``, which
+value sets and the sporadic values {2, 7} partition the naturals: the
+one family whose value set holds v is ``decompose(v).family``.  The
+``cover`` command checks it against ``value_set_members``, which
 enumerates the parameterization.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from math import isqrt
-from typing import NamedTuple
 
 from .words import ArcWord, _data_lines
 
@@ -28,15 +28,11 @@ class UnsupportedFamily(ValueError):
     """The family does not provide the requested data."""
 
 
-class Family(NamedTuple):
+class Family(namedtuple("Family", "name needs_m word value quotients fixed",
+                        defaults=(None, False))):
     """One parameterized family: words, closed form, continued fraction."""
 
-    name: str
-    needs_m: bool
-    word: callable
-    value: callable
-    quotients: callable = None
-    fixed: bool = False
+    __slots__ = ()
 
 
 FAMILIES = {
@@ -139,10 +135,10 @@ def continued_fraction_value(quotients) -> Fraction:
     return value
 
 
-class Decomposition(NamedTuple):
-    family: str
-    n: int
-    m: int | None
+class Decomposition(namedtuple("Decomposition", "family n m")):
+    """Family and parameters of the member hitting one target number."""
+
+    __slots__ = ()
 
 
 _COVER_FAMILIES = ("Z1", "Z2", "Z3", "Z4", "Z5")
@@ -176,15 +172,10 @@ def decompose(target: int) -> Decomposition:
     return Decomposition("Z5", j - 1, None)
 
 
-class WitnessArc(NamedTuple):
+class WitnessArc(namedtuple("WitnessArc", "target family n m word quotients")):
     """A concrete arc hitting a requested self-intersection number."""
 
-    target: int
-    family: str
-    n: int
-    m: int | None
-    word: ArcWord
-    quotients: tuple
+    __slots__ = ()
 
 
 def witness(target: int) -> WitnessArc:
@@ -196,22 +187,7 @@ def witness(target: int) -> WitnessArc:
                       family_quotients(family, n, m))
 
 
-# --- value sets of the Z families, and the covering of all targets ---
-
-def in_value_set(family_id: str, value: int) -> bool:
-    """Whether some member of the Z family has this intersection number:
-    the Z value sets are disjoint, so only the one ``decompose`` picks."""
-    if value < 0:
-        return False
-    if family_id not in _COVER_FAMILIES:
-        raise UnsupportedFamily(f"no value-set rule for family {family_id!r}")
-    return decompose(value).family == family_id
-
-
-def covering_family(value: int) -> str:
-    """Name of the one family whose value set contains ``value``."""
-    return decompose(value).family
-
+# --- value sets of the Z families ---
 
 def value_set_members(family_id: str, limit: int) -> set:
     """All values of the family up to ``limit``, from the parameterization.
@@ -241,7 +217,8 @@ def value_set_members(family_id: str, limit: int) -> set:
 
 # --- pattern certificate for low-lying arcs ---
 
-class LowLyingCheck(NamedTuple):
+class LowLyingCheck(namedtuple("LowLyingCheck",
+                               "is_low_lying extrapolated reason")):
     """Outcome of the forbidden-pattern test.
 
     ``is_low_lying`` reports that no forbidden pattern occurs, so the
@@ -250,9 +227,7 @@ class LowLyingCheck(NamedTuple):
     family alternations, or any window bound with k != 4.
     """
 
-    is_low_lying: bool
-    extrapolated: bool
-    reason: str
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.is_low_lying

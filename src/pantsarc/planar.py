@@ -32,7 +32,7 @@ read off it, against the packaged decidable pairs.
 from __future__ import annotations
 
 import enum
-from typing import NamedTuple
+from collections import namedtuple
 
 from .words import (LETTER_CHARS, SEAM_CHARS, ArcWord, _STUCK, _data_lines,
                     invert_code)
@@ -51,11 +51,10 @@ CORNER_ITEM = {1: 1, 2: 5}
 ITEM_LABELS = ("a", "1", "A", "3", "b", "2", "B", "3")
 
 
-class Segment(NamedTuple):
+class Segment(namedtuple("Segment", "fr to")):
     """A chord of the octagon, directed along the arc."""
 
-    fr: int
-    to: int
+    __slots__ = ()
 
     def label(self) -> str:
         return ITEM_LABELS[self.fr] + ITEM_LABELS[self.to]

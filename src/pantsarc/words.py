@@ -19,7 +19,7 @@ ending boundary (those corner segments retract as well).
 from __future__ import annotations
 
 import os
-from typing import NamedTuple
+from collections import namedtuple
 
 LETTER_CHARS = "aAbB"
 SEAM_CHARS = "123"
@@ -75,12 +75,10 @@ class EndpointClash(WordError):
     """First or last crossing touches the cutting arc at its own boundary."""
 
 
-class ArcWord(NamedTuple):
+class ArcWord(namedtuple("ArcWord", "start letters end")):
     """A validated arc word: two boundary labels and the crossing codes."""
 
-    start: int
-    letters: tuple
-    end: int
+    __slots__ = ()
 
     @property
     def word_length(self) -> int:
@@ -171,9 +169,10 @@ def relabel(w: ArcWord) -> ArcWord:
                    _SWAP_BOUNDARY[w.end])
 
 
-class SeamCounts(NamedTuple):
-    a_count: int
-    b_count: int
+class SeamCounts(namedtuple("SeamCounts", "a_count b_count")):
+    """Crossings of cutting arc a and of cutting arc b."""
+
+    __slots__ = ()
 
 
 def seam_counts(w: ArcWord) -> SeamCounts:

@@ -14,7 +14,6 @@ from pantsarc.census import (
     _first_letter_tasks,
     _resolve_jobs,
     census,
-    check_conjectured_max,
     conjectured_max,
     count_words,
     enumerate_words,
@@ -175,4 +174,4 @@ def test_max_witness_words():
         w = max_witness(wl)
         assert str(parse_word(str(w))) == str(w)
         assert w.word_length == wl
-        assert check_conjectured_max(wl)
+        assert self_intersection(w) == conjectured_max(wl)

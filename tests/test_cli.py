@@ -104,7 +104,7 @@ def test_intersect_imports_no_unused_stdlib():
     # continued fraction; the packaged data files are read next to the
     # module, so the two commands that read them import nothing either
     unused = ("dataclasses", "inspect", "multiprocessing", "fractions",
-              "importlib.resources")
+              "importlib.resources", "typing")
     commands = (["intersect", "1BABA2"], ["fixtures"], ["tables", "--verify"])
     code = ("import sys; from pantsarc import cli; "
             f"codes = [cli.main(argv) for argv in {commands!r}]; "

@@ -9,12 +9,10 @@ from pantsarc.lowlying import (
     FAMILIES,
     UnsupportedFamily,
     continued_fraction_value,
-    covering_family,
     decompose,
     family_intersections,
     family_quotients,
     family_word,
-    in_value_set,
     load_reference_words,
     pattern_low_lying,
     value_set_members,
@@ -124,25 +122,6 @@ def test_witness_words_check_out():
 
 
 Z_FAMILIES = ("Z1", "Z2", "Z3", "Z4", "Z5")
-
-
-def test_value_sets_match_membership_predicate():
-    for fam_id in Z_FAMILIES:
-        members = value_set_members(fam_id, 400)
-        assert members == {v for v in range(401) if in_value_set(fam_id, v)}
-        assert not in_value_set(fam_id, -1)
-    with pytest.raises(UnsupportedFamily):
-        in_value_set("F1", 3)
-
-
-def test_covering_family_is_consistent():
-    members = {fam_id: value_set_members(fam_id, 400) for fam_id in Z_FAMILIES}
-    for value in range(401):
-        fam_id = covering_family(value)
-        if fam_id in ("C2", "C7"):
-            assert value in (2, 7)
-        else:
-            assert value in members[fam_id]
 
 
 def test_z_value_sets_partition_the_naturals():

@@ -4,8 +4,10 @@ import pytest
 
 from pantsarc.census import CensusReport, census
 from pantsarc.intersect import Chain, Trace, resolve_chain, trace
-from pantsarc.lowlying import FAMILIES, Family, WitnessArc, witness
-from pantsarc.words import ArcWord, parse_word
+from pantsarc.lowlying import (FAMILIES, Decomposition, Family, LowLyingCheck,
+                                WitnessArc, decompose, pattern_low_lying, witness)
+from pantsarc.planar import Segment, segments
+from pantsarc.words import ArcWord, SeamCounts, parse_word, seam_counts
 
 W = "1BABA2"
 
@@ -14,6 +16,9 @@ W = "1BABA2"
 RECORDS = {
     ArcWord: (lambda: parse_word(W),
               "ArcWord(start=1, letters=(3, 1, 3, 1), end=2)"),
+    SeamCounts: (lambda: seam_counts(parse_word(W)),
+                 "SeamCounts(a_count=2, b_count=2)"),
+    Segment: (lambda: segments(parse_word(W))[0], "Segment(fr=1, to=6)"),
     Chain: (lambda: resolve_chain(parse_word(W), 1, 3),
             "Chain(members=((1, 3), (2, 4), (3, 5)), parallel=True, "
             "free_end=False, decision=1)"),
@@ -30,6 +35,11 @@ RECORDS = {
                  "WitnessArc(target=10, family='Z4', n=2, m=None, "
                  "word=ArcWord(start=1, letters=(2, 1, 2, 1, 2), end=1), "
                  "quotients=(2, 2, 2, 2, 1, 1))"),
+    Decomposition: (lambda: decompose(10),
+                    "Decomposition(family='Z4', n=2, m=None)"),
+    LowLyingCheck: (lambda: pattern_low_lying(parse_word(W)),
+                    "LowLyingCheck(is_low_lying=True, extrapolated=False, "
+                    "reason='')"),
 }
 
 
@@ -60,6 +70,13 @@ def test_record_is_immutable(cls):
     for name in _fields(want):
         with pytest.raises(AttributeError):
             setattr(record, name, None)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_record_has_no_instance_dict(cls):
+    # Trace alone keeps one, for its cached ``cells``
+    record = RECORDS[cls][0]()
+    assert hasattr(record, "__dict__") == (cls is Trace)
 
 
 def test_records_hash_by_value():
