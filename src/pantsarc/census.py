@@ -172,26 +172,6 @@ class CensusReport(namedtuple("CensusReport",
         }
 
 
-def _resolve_jobs(jobs):
-    """The census worker count: ``jobs``, else the ARC_JOBS environment
-    variable, else the logical CPU count; anything but a positive
-    integer raises ValueError naming the bad value."""
-    source = "jobs"
-    if jobs is None:
-        text = os.environ.get("ARC_JOBS")
-        if text is None:
-            return os.cpu_count() or 1
-        source = "ARC_JOBS"
-        try:
-            jobs = int(text)
-        except ValueError:
-            raise ValueError(f"ARC_JOBS must be a positive integer, "
-                             f"got {text!r}") from None
-    if jobs < 1:
-        raise ValueError(f"{source} must be a positive integer, got {jobs}")
-    return jobs
-
-
 # beyond this length a census covers count_words(17) = 76,527,504 words
 # or more, three times as many with each further symbol
 CENSUS_SIZE_LIMIT = 16
@@ -208,11 +188,10 @@ def census(word_length: int, jobs: int | None = None,
     """Tally self-intersection numbers over all words of one length.
 
     ``jobs`` bounds the number of worker processes (default: the
-    ARC_JOBS environment variable, else the logical CPU count).  No pool
-    is started for a census of fewer than _POOL_MIN_WORDS words, where
-    one would cost more than it saves, and none holds more workers than
-    there are tasks.  Lengths above CENSUS_SIZE_LIMIT are refused unless
-    ``allow_large`` is set.
+    logical CPU count).  No pool is started for a census of fewer than
+    _POOL_MIN_WORDS words, where one would cost more than it saves, and
+    none holds more workers than there are tasks.  Lengths above
+    CENSUS_SIZE_LIMIT are refused unless ``allow_large`` is set.
     """
     if word_length < 2:
         raise ValueError("a word has at least two symbols")
@@ -221,7 +200,10 @@ def census(word_length: int, jobs: int | None = None,
             f"censuses beyond word length {CENSUS_SIZE_LIMIT} cover "
             f"{count_words(CENSUS_SIZE_LIMIT + 1):,} words or more; "
             "pass allow_large=True to run one anyway")
-    jobs = _resolve_jobs(jobs)
+    if jobs is None:
+        jobs = os.cpu_count() or 1
+    if jobs < 1:
+        raise ValueError(f"jobs must be a positive integer, got {jobs}")
     if word_length == 2:
         hist = Counter({0: 7})
     else:

@@ -342,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--histogram", metavar="FILE",
                    help="also write the histogram as CSV")
     p.add_argument("--jobs", type=int,
-                   help="worker processes (default: ARC_JOBS or all cores)")
+                   help="worker processes (default: all cores)")
     p.set_defaults(handler=_cmd_census)
 
     p = sub.add_parser("family", parents=[fmt],

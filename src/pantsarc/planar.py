@@ -26,7 +26,8 @@ lists the symbols that may follow each symbol (``words._STUCK`` and
 the inverse-letter rule), each with its segment's shape from
 ``_PAIR_SHAPES``.  The census walks it, the word engine reads
 ``_PAIR_SHAPES``, and ``tables --verify`` checks ``SEGMENT_LABELS``,
-read off it, against the packaged decidable pairs.
+read off it, through ``DECISIONS``, the decision table the engine
+reads, against the packaged decidable pairs.
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ from __future__ import annotations
 import enum
 from collections import namedtuple
 
-from .words import (LETTER_CHARS, SEAM_CHARS, ArcWord, _STUCK, _data_lines,
-                    invert_code)
+from .words import LETTER_CHARS, SEAM_CHARS, ArcWord, _STUCK, _data_lines
 
 N_ITEMS = 8
 
@@ -120,7 +120,7 @@ _SUCCESSORS = tuple(
     tuple(tuple([(y, _PAIR_SHAPES[x << 3 | y])
                  for y in sorted(ys, key=_SYMBOL_CHARS.__getitem__)
                  if _SYMBOL_CHARS[x] + _SYMBOL_CHARS[y] not in _STUCK
-                 and (x > 3 or y != invert_code(x))])
+                 and (x > 3 or y != x ^ 1)])
           for ys in (range(4), range(4, 7)))
     for x in range(7))
 
@@ -129,24 +129,6 @@ def segments(w: ArcWord):
     """The chords crossed by the arc, in order along the word."""
     fr, to = endpoint_items(w.start, w.letters, w.end)
     return [Segment(f, t) for f, t in zip(fr, to)]
-
-
-def _classify_raw(f1, t1, f2, t2):
-    shared = {f1, t1} & {f2, t2}
-    if any(item % 2 == 0 for item in shared):
-        return Classification.UNDECIDABLE
-    if shared:
-        return Classification.NON_INTERSECTING
-    span = (t1 - f1) % N_ITEMS
-    inside = ((f2 - f1) % N_ITEMS < span) + ((t2 - f1) % N_ITEMS < span)
-    if inside == 1:
-        return Classification.INTERSECTING
-    return Classification.NON_INTERSECTING
-
-
-def classify(s: Segment, t: Segment) -> Classification:
-    """Classify a pair of segments from their endpoint items alone."""
-    return _classify_raw(s.fr, s.to, t.fr, t.to)
 
 
 # decision against a second chord from the codes of its two end items:
@@ -160,20 +142,22 @@ _PAIR_VERDICT = tuple(
 
 def _decision_row(f1, t1):
     """Decisions of the chord (f1, t1) against every (f2, t2), as the
-    64 bytes indexed f2 << 3 | t2; agrees with _classify_raw."""
+    64 bytes indexed f2 << 3 | t2; tests/test_planar.py checks every
+    entry against its item-by-item reference classifier."""
     span = (t1 - f1) % N_ITEMS
     where = [2 + x % 2 if x in (f1, t1) else int((x - f1) % N_ITEMS < span)
              for x in range(N_ITEMS)]
     return bytes(_PAIR_VERDICT[a][b] for a in where for b in where)
 
 
-def _build_decision_table():
-    return b"".join(_decision_row(f1, t1)
-                    for f1 in range(N_ITEMS) for t1 in range(N_ITEMS))
-
-
 # decision per packed endpoint quadruple (f1, t1, f2, t2), 3 bits each
-DECISIONS = _build_decision_table()
+DECISIONS = b"".join(_decision_row(f1, t1)
+                     for f1 in range(N_ITEMS) for t1 in range(N_ITEMS))
+
+
+def classify(s: Segment, t: Segment) -> Classification:
+    """Classify a pair of segments from their endpoint items alone."""
+    return Classification(DECISIONS[(s.fr << 3 | s.to) << 6 | t.fr << 3 | t.to])
 
 
 # every segment shape a word can produce, by label: the shape of each

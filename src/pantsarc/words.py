@@ -42,11 +42,6 @@ _CLASHING_FAMILY = {1: 0, 2: 1}
 _STUCK = frozenset({"1a", "1A", "2b", "2B", "a1", "A1", "b2", "B2", "11", "22"})
 
 
-def invert_code(code: int) -> int:
-    """Code of the reverse crossing: a <-> A and b <-> B."""
-    return code ^ 1
-
-
 class WordError(ValueError):
     """Rejected word text; ``position`` indexes the offending character."""
 

@@ -9,6 +9,7 @@ fails the gate.
 
 import functools
 import io
+import itertools
 import json
 import random
 import time
@@ -18,7 +19,7 @@ import pytest
 
 from pantsarc import cli
 from pantsarc.census import census, enumerate_words, length_bounds, load_reference_minmax
-from pantsarc.intersect import _strand_side, resolve_chain, self_intersection, trace
+from pantsarc.intersect import _shapes, _strand_side, _walk_chain, self_intersection, trace
 from pantsarc.lowlying import (
     family_intersections,
     family_quotients,
@@ -26,6 +27,7 @@ from pantsarc.lowlying import (
     load_reference_words,
 )
 from pantsarc.planar import (
+    DECISIONS,
     SEGMENT_LABELS,
     Classification,
     load_reference_pairs,
@@ -208,17 +210,23 @@ def test_property_sweep():
         assert p.word_length == w.word_length
         assert seam_counts(p) == seam_counts(w)
         assert ivals[str(p)] <= n
-        T = len(w.letters) + 1
-        pairs = [(i, j) for i in range(1, T) for j in range(i + 1, T + 1)]
+        # the chains partition the pairs: decided pairs from DECISIONS,
+        # each undecidable one's chain walked once from the word's shapes
+        sc = _shapes(w)
+        T = len(sc)
         assigned = {}
-        for pq in pairs:
+        for pq in itertools.combinations(range(T), 2):
             if pq in assigned:
                 continue
-            ch = resolve_chain(w, *pq)
-            assert pq in ch.members
-            for member in ch.members:
-                assert assigned.setdefault(member, ch.members) == ch.members
-        assert len(assigned) == len(pairs)
+            p, q = pq
+            if DECISIONS[sc[p] << 6 | sc[q]] != 2:
+                members = (pq,)
+            else:
+                members = _walk_chain(sc, p, q)[0]
+            assert pq in members
+            for member in members:
+                assert assigned.setdefault(member, members) == members
+        assert len(assigned) == T * (T - 1) // 2
     assert time.perf_counter() - t0 < 120.0
 
 

@@ -1,5 +1,4 @@
 import multiprocessing
-import os
 from collections import Counter
 from itertools import product
 
@@ -12,7 +11,6 @@ from pantsarc.census import (
     _POOL_MIN_WORDS,
     _census_task,
     _first_letter_tasks,
-    _resolve_jobs,
     census,
     conjectured_max,
     count_words,
@@ -134,12 +132,11 @@ def test_tasks_match_the_word_engine():
             assert _census_task(wl, *task) == hist, (wl, task)
 
 
-def test_jobs_default(monkeypatch):
-    monkeypatch.delenv("ARC_JOBS", raising=False)
-    assert _resolve_jobs(None) == os.cpu_count()
-    monkeypatch.setenv("ARC_JOBS", "2")
-    assert _resolve_jobs(None) == 2
-    assert _resolve_jobs(1) == 1
+def test_census_rejects_nonpositive_jobs():
+    for bad in (0, -2):
+        with pytest.raises(ValueError,
+                           match=f"jobs must be a positive integer, got {bad}"):
+            census(4, jobs=bad)
 
 
 def test_census_budget_guard():

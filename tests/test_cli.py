@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from pantsarc import cli
-from pantsarc.census import count_words, enumerate_words
+from pantsarc import cli, planar
+from pantsarc.census import CensusReport, count_words, enumerate_words
 from pantsarc.cli import main
 from pantsarc.intersect import Trace
 from pantsarc.lowlying import witness
@@ -215,19 +215,27 @@ def test_census_deterministic_across_jobs(capsys):
     assert out1 == out2
 
 
-def test_census_rejects_bad_jobs(capsys, monkeypatch):
+def test_census_rejects_bad_jobs(capsys):
     for bad in ("0", "-3"):
         code, out, err = run(capsys, "census", "--length", "4", "--jobs", bad)
         assert code == 1 and out == ""
         assert err.startswith("error:") and bad in err
-    for bad in ("x", "0", "-2", "1.5"):
-        monkeypatch.setenv("ARC_JOBS", bad)
-        code, out, err = run(capsys, "census", "--length", "4")
-        assert code == 1 and out == ""
-        assert err.startswith("error:") and "ARC_JOBS" in err and bad in err
-    # an explicit --jobs wins over the environment
     code, out, _ = run(capsys, "census", "--length", "4", "--jobs", "1")
     assert code == 0 and json.loads(out)["word_count"] == 48
+
+
+def test_census_warns_above_the_size_limit(capsys, monkeypatch):
+    calls = []
+
+    def stub(*args, **kwargs):
+        calls.append((args, kwargs))
+        return CensusReport(args[0], 1, 0, 0, {0: 1})
+
+    monkeypatch.setattr(cli, "census", stub)
+    code, _, err = run(capsys, "census", "--length", "17", "--jobs", "1")
+    assert code == 0
+    assert err.startswith("warning: census at word length 17 exceeds ")
+    assert calls == [((17,), {"jobs": 1, "allow_large": True})]
 
 
 @pytest.mark.parametrize("argv", [("spectrum", "--max", "-5"),
@@ -417,6 +425,21 @@ def test_tables_reports_a_missing_pair(capsys, monkeypatch):
     assert payload["mismatches"] == [{"pair": list(dropped),
                                       "regenerated": verdict.name,
                                       "reference": None}]
+
+
+def test_tables_checks_the_engines_decision_table(capsys, monkeypatch):
+    # one entry of the table the count reads, flipped: (ab, BA) cross
+    s, t = planar.SEGMENT_LABELS["ab"], planar.SEGMENT_LABELS["BA"]
+    packed = (s.fr << 3 | s.to) << 6 | t.fr << 3 | t.to
+    table = bytearray(planar.DECISIONS)
+    table[packed] = planar.Classification.NON_INTERSECTING.value
+    monkeypatch.setattr(planar, "DECISIONS", bytes(table))
+    code, out, err = run(capsys, "tables", "--verify")
+    assert code == 2
+    assert err.startswith("FAIL: 1 mismatches, first pair ['ab', 'BA']:")
+    assert json.loads(out)["mismatches"] == [{"pair": ["ab", "BA"],
+                                              "regenerated": "NON_INTERSECTING",
+                                              "reference": "INTERSECTING"}]
 
 
 def test_cover_reports_a_missing_value(capsys, monkeypatch):

@@ -11,15 +11,15 @@ from pantsarc.planar import (
     FAR_WAIST_ITEM,
     ITEM_LABELS,
     SEGMENT_LABELS,
+    N_ITEMS,
     Classification,
     Segment,
-    _classify_raw,
     classify,
     load_reference_pairs,
     regenerate_tables,
     segments,
 )
-from pantsarc.words import WordError, invert_code, parse_word
+from pantsarc.words import WordError, parse_word
 
 from circle_oracle import chords_cross, item_points
 from conftest import arc_words
@@ -27,6 +27,20 @@ from conftest import arc_words
 INT = Classification.INTERSECTING
 NON = Classification.NON_INTERSECTING
 UND = Classification.UNDECIDABLE
+
+
+def _classify_raw(f1, t1, f2, t2):
+    """The endpoint rule, item by item: the reference for DECISIONS."""
+    shared = {f1, t1} & {f2, t2}
+    if any(item % 2 == 0 for item in shared):
+        return Classification.UNDECIDABLE
+    if shared:
+        return Classification.NON_INTERSECTING
+    span = (t1 - f1) % N_ITEMS
+    inside = ((f2 - f1) % N_ITEMS < span) + ((t2 - f1) % N_ITEMS < span)
+    if inside == 1:
+        return Classification.INTERSECTING
+    return Classification.NON_INTERSECTING
 
 
 def test_boundary_cycle_reads_the_surface_word():
@@ -64,7 +78,7 @@ def test_segments_chain_through_the_edges(w):
     assert len(segs) == len(w.letters) + 1
     for t, code in enumerate(w.letters):
         assert segs[t].to == EDGE_ITEM[code]
-        assert segs[t + 1].fr == EDGE_ITEM[invert_code(code)]
+        assert segs[t + 1].fr == EDGE_ITEM[code ^ 1]
     for s in segs:
         assert s.fr != s.to
 
@@ -80,12 +94,6 @@ def test_classify_examples():
 def test_classification_is_symmetric():
     for s, t in itertools.product(SEGMENT_LABELS.values(), repeat=2):
         assert classify(s, t) is classify(t, s)
-
-
-def test_decision_table_agrees_with_classify():
-    for s, t in itertools.product(SEGMENT_LABELS.values(), repeat=2):
-        packed = (s.fr << 3 | s.to) << 6 | t.fr << 3 | t.to
-        assert DECISIONS[packed] == classify(s, t).value
 
 
 def test_decision_table_is_symmetric():
