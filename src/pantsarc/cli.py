@@ -50,6 +50,14 @@ def _fail(message):
     return VERIFY
 
 
+def _verdict(payload, args, summary, failure):
+    """End a verification command: ``pass`` last in the payload, the
+    summary after PASS or FAIL, the first failure named; the exit code."""
+    payload["pass"] = failure is None
+    _print(payload, args, f"{'PASS' if failure is None else 'FAIL'}: {summary}")
+    return OK if failure is None else _fail(failure)
+
+
 def _cmd_validate(args):
     try:
         w = parse_word(args.word)
@@ -184,17 +192,17 @@ def _cmd_spectrum(args):
                              "word": str(wit.word), "i_computed": computed,
                              "max_quotient": max(wit.quotients)})
     payload = {"max": args.max, "checked": args.max + 1,
-               "failures": failures, "pass": not failures}
-    verdict = "PASS" if not failures else "FAIL"
-    _print(payload, args,
-           f"{verdict}: {args.max + 1} targets, {len(failures)} failures")
+               "failures": failures}
+    failure = None
     if failures:
         first = failures[0]
-        return _fail(f"{len(failures)} of {args.max + 1} targets, first "
-                     f"{first['N']}: witness {first['word']} computes "
-                     f"{first['i_computed']}, max quotient "
-                     f"{first['max_quotient']}")
-    return OK
+        failure = (f"{len(failures)} of {args.max + 1} targets, first "
+                   f"{first['N']}: witness {first['word']} computes "
+                   f"{first['i_computed']}, max quotient "
+                   f"{first['max_quotient']}")
+    return _verdict(payload, args,
+                    f"{args.max + 1} targets, {len(failures)} failures",
+                    failure)
 
 
 def _cmd_cover(args):
@@ -206,21 +214,19 @@ def _cmd_cover(args):
     identities = {fam: vals == groups[fam] for fam, vals in members.items()}
     union = set().union(*members.values()) | set(_SPORADIC_VALUES)
     gaps = sorted(set(range(limit + 1)) - union)
-    ok = not gaps and all(identities.values())
-    payload = {"max": limit, "gaps": gaps, "identities": identities,
-               "pass": ok}
-    verdict = "PASS" if ok else "FAIL"
-    _print(payload, args,
-           f"{verdict}: values 0..{limit}, {len(gaps)} gaps, identities "
-           + ("all hold" if all(identities.values()) else "violated"))
-    if ok:
-        return OK
-    # a gap also breaks the identity of the family decompose puts it in
-    v = min(set().union(*(vals ^ groups[f] for f, vals in members.items())))
-    reached = [f for f, vals in members.items() if v in vals]
-    return _fail(f"{len(gaps)} gaps, first mismatch {v}: decompose gives "
-                 f"{decompose(v).family}, the parameterizations give "
-                 f"{', '.join(reached) or 'none'}")
+    payload = {"max": limit, "gaps": gaps, "identities": identities}
+    failure = None
+    if gaps or not all(identities.values()):
+        # a gap also breaks the identity of the family decompose puts it in
+        v = min(set().union(*(vals ^ groups[f] for f, vals in members.items())))
+        reached = [f for f, vals in members.items() if v in vals]
+        failure = (f"{len(gaps)} gaps, first mismatch {v}: decompose gives "
+                   f"{decompose(v).family}, the parameterizations give "
+                   f"{', '.join(reached) or 'none'}")
+    return _verdict(payload, args,
+                    f"values 0..{limit}, {len(gaps)} gaps, identities "
+                    + ("all hold" if all(identities.values()) else "violated"),
+                    failure)
 
 
 def _cmd_tables(args):
@@ -235,18 +241,18 @@ def _cmd_tables(args):
                                "regenerated": got.name if got else None,
                                "reference": want.name if want else None})
     payload = {"pairs": len(reference), "regenerated": len(regenerated),
-               "mismatches": mismatches, "pass": not mismatches}
-    verdict = "PASS" if not mismatches else "FAIL"
-    _print(payload, args,
-           f"{verdict}: {len(regenerated)} regenerated vs "
-           f"{len(reference)} reference pairs, "
-           f"{len(mismatches)} mismatches")
+               "mismatches": mismatches}
+    failure = None
     if mismatches:
         first = mismatches[0]
-        return _fail(f"{len(mismatches)} mismatches, first pair "
-                     f"{first['pair']}: regenerated {first['regenerated']}, "
-                     f"reference {first['reference']}")
-    return OK
+        failure = (f"{len(mismatches)} mismatches, first pair "
+                   f"{first['pair']}: regenerated {first['regenerated']}, "
+                   f"reference {first['reference']}")
+    return _verdict(payload, args,
+                    f"{len(regenerated)} regenerated vs "
+                    f"{len(reference)} reference pairs, "
+                    f"{len(mismatches)} mismatches",
+                    failure)
 
 
 def _cmd_cf(args):
@@ -279,20 +285,18 @@ def _cmd_fixtures(args):
         if computed != expected:
             failures.append({"word": text, "expected": expected,
                              "computed": computed})
-    passed = bool(rows) and not failures
     payload = {"file": args.file or "packaged", "rows": len(rows),
-               "failures": failures, "pass": passed}
-    verdict = "PASS" if passed else "FAIL"
-    _print(payload, args,
-           f"{verdict}: {len(rows)} rows, {len(failures)} failures")
+               "failures": failures}
+    failure = None
     if not rows:
-        return _fail(f"no fixture rows in {payload['file']}")
-    if failures:
+        failure = f"no fixture rows in {payload['file']}"
+    elif failures:
         first = failures[0]
-        return _fail(f"{len(failures)} of {len(rows)} rows, first "
-                     f"{first['word']}: expected {first['expected']}, "
-                     f"computed {first['computed']}")
-    return OK
+        failure = (f"{len(failures)} of {len(rows)} rows, first "
+                   f"{first['word']}: expected {first['expected']}, "
+                   f"computed {first['computed']}")
+    return _verdict(payload, args,
+                    f"{len(rows)} rows, {len(failures)} failures", failure)
 
 
 def _bound(text):

@@ -47,17 +47,18 @@ on bit 6 two bytes up, and every other bit falls outside the mask.
 ``_count`` steps a word of T segments in T steps of T bytes, all in C.
 The census module prices its search trees with the same rows.
 
-The shapes of a word come from one translate too: a segment's shape
-depends only on the two symbols around it, so all of them are one
-translate of the symbol pairs, through ``planar._PAIR_SHAPES``.
+The shapes of a word come from one translate too, ``planar._shapes``
+of the symbol pairs through ``planar._PAIR_SHAPES``.
 
 The steps presume a reduced word.  A crossing undone by its reverse
 leaves a segment that starts and ends on one side, where a chain can
-collide with itself; the count, ``trace`` and ``resolve_chain`` reject
-such a word with AlignmentOverrun before they look at any pair.  The strands of a reduced
-word never collide: that needs to[P] == fr[Q] with Q - P <= 2, but a
-segment starts on the far side of the cutting arc its predecessor ends
-on, and Q - P == 2 needs a letter followed by its inverse.
+collide with itself.  ``planar._shapes`` rejects such a word with
+AlignmentOverrun, so the count, ``trace``, ``resolve_chain`` and the
+planar model's ``segments`` and ``endpoint_items`` all refuse it before
+they look at any pair.  The strands of a reduced word never collide:
+that needs to[P] == fr[Q] with Q - P <= 2, but a segment starts on the
+far side of the cutting arc its predecessor ends on, and Q - P == 2
+needs a letter followed by its inverse.
 
 ``trace`` keeps the whole pair grid as one string of cells, row by
 row, and puts a chain's digit at its forward-most member.  It steps
@@ -81,13 +82,8 @@ import functools
 import itertools
 from collections import namedtuple
 
-from .planar import _PAIR_SHAPES, DECISIONS, EDGE_ITEM, ITEM_LABELS
+from .planar import _FROM, _LABELS, _TO, DECISIONS, AlignmentOverrun, _shapes
 from .words import ArcWord
-
-
-class AlignmentOverrun(RuntimeError):
-    """A chain left the segment range or collided with itself: the word
-    is not reduced."""
 
 
 def self_intersection(w: ArcWord) -> int:
@@ -97,27 +93,6 @@ def self_intersection(w: ArcWord) -> int:
     undone by its reverse (one built without ``parse_word``).
     """
     return _count(_shapes(w))
-
-
-def _shapes(w: ArcWord):
-    """The shape fr << 3 | to of each segment of ``w``, as bytes.
-
-    Raises AlignmentOverrun, naming the word and the position, when a
-    segment starts and ends on the same side, that is, when a crossing
-    is undone by its reverse.
-    """
-    from_bytes = int.from_bytes
-    symbols = bytes([w.start + 3, *w.letters, w.end + 3])
-    # every symbol beside its successor, as one byte x << 3 | y each
-    sc = (from_bytes(symbols[:-1], "big") << 3
-          | from_bytes(symbols[1:], "big")).to_bytes(
-              len(symbols) - 1, "big").translate(_PAIR_SHAPES)
-    if 0 in sc:
-        k = sc.index(0)
-        crossing = ITEM_LABELS[EDGE_ITEM[w.letters[k]]]
-        raise AlignmentOverrun(f"{w}: crossing {crossing!r} undoes "
-                               f"the previous one (position {k + 1})")
-    return sc
 
 
 def _strand_side(shared, into, item1, item2):
@@ -130,9 +105,6 @@ def _strand_side(shared, into, item1, item2):
 
 # the ASCII trace cell of each row entry, by its low two bits
 _CELLS = b"01X\0" * 64
-
-# the label of each segment shape
-_LABELS = tuple([ITEM_LABELS[s >> 3] + ITEM_LABELS[s & 7] for s in range(64)])
 
 
 def _chain_ends(ps, qs):
@@ -245,11 +217,6 @@ class Chain(namedtuple("Chain", "members parallel free_end decision")):
     def terminal(self):
         """The forward-most member, which carries the chain's digit."""
         return self.members[-1]
-
-
-# the start and the end item of each shape, as translate tables
-_FROM = bytes([s >> 3 & 7 for s in range(256)])
-_TO = bytes([s & 7 for s in range(256)])
 
 
 def _walk_chain(sc, p0, q0):

@@ -21,11 +21,14 @@ chords meeting in a boundary stretch can be combed apart, and chords
 sharing a cutting-arc side are undecidable from the endpoints alone
 (the word must be followed further; see the intersect module).
 
-Which segments exist is fixed by the word grammar.  ``_SUCCESSORS``
-lists the symbols that may follow each symbol (``words._STUCK`` and
-the inverse-letter rule), each with its segment's shape from
-``_PAIR_SHAPES``.  The census walks it, the word engine reads
-``_PAIR_SHAPES``, and ``tables --verify`` checks ``SEGMENT_LABELS``,
+A segment's shape fr << 3 | to depends only on the two symbols around
+it, and ``_PAIR_SHAPES``, one byte per symbol pair, is the one
+statement of it.  ``_shapes`` reads all of a word's shapes in one
+translate and rejects a word that is not reduced; the count, ``trace``,
+``resolve_chain``, ``segments`` and ``endpoint_items`` all go through
+it.  ``_SUCCESSORS`` lists the symbols that may follow each symbol
+(``words._STUCK``, and no letter after its inverse) with their shapes.
+The census walks it, and ``tables --verify`` checks ``SEGMENT_LABELS``,
 read off it, through ``DECISIONS``, the decision table the engine
 reads, against the packaged decidable pairs.
 """
@@ -57,7 +60,7 @@ class Segment(namedtuple("Segment", "fr to")):
     __slots__ = ()
 
     def label(self) -> str:
-        return ITEM_LABELS[self.fr] + ITEM_LABELS[self.to]
+        return _LABELS[self.fr << 3 | self.to]
 
 
 class Classification(enum.Enum):
@@ -66,30 +69,19 @@ class Classification(enum.Enum):
     UNDECIDABLE = 2
 
 
-def endpoint_items(start, letters, end):
-    """Raw from/to item lists of the segments, one entry per segment."""
-    L = len(letters)
-    if L == 0:
-        head = 3 if start == 3 else CORNER_ITEM[start]
-        tail = 7 if end == 3 else CORNER_ITEM[end]
-        return [head], [tail]
-    fr = [0] * (L + 1)
-    to = [0] * (L + 1)
-    first = letters[0]
-    fr[0] = CORNER_ITEM[start] if start != 3 else FAR_WAIST_ITEM[first]
-    to[0] = EDGE_ITEM[first]
-    for t in range(1, L):
-        fr[t] = EDGE_ITEM[letters[t - 1] ^ 1]
-        to[t] = EDGE_ITEM[letters[t]]
-    back = letters[L - 1] ^ 1
-    fr[L] = EDGE_ITEM[back]
-    to[L] = CORNER_ITEM[end] if end != 3 else FAR_WAIST_ITEM[back]
-    return fr, to
+class AlignmentOverrun(RuntimeError):
+    """A chain left the segment range or collided with itself: the word
+    is not reduced."""
 
 
 def _pair_shape(x, y):
     """The shape of the segment between two neighbouring symbols of a
     word, letter codes as 0-3 and boundary digits d as d + 3.
+
+    It starts at the side of the inverse of the letter before it and
+    ends at the side of the letter after it, or at the stretch of digit
+    1 or 2, or of digit 3 away from the side at its other end (3 at the
+    start and 7 at the end of a word with no letter).
 
     A letter followed by its inverse makes a segment that starts and
     ends on one cutting-arc side.  All four such shapes are written as
@@ -98,29 +90,64 @@ def _pair_shape(x, y):
     """
     if x < 4 and y == x ^ 1:
         return 0
-    letters = tuple([c for c in (x, y) if c < 4])
-    fr, to = endpoint_items(x - 3 if x > 3 else 3, letters,
-                            y - 3 if y > 3 else 3)
-    # the segment after x: the first one when x is a boundary digit
-    k = int(x < 4)
-    return fr[k] << 3 | to[k]
+    fr = (EDGE_ITEM[x ^ 1] if x < 4 else CORNER_ITEM[x - 3] if x < 6
+          else FAR_WAIST_ITEM[y] if y < 4 else 3)
+    to = (EDGE_ITEM[y] if y < 4 else CORNER_ITEM[y - 3] if y < 6
+          else FAR_WAIST_ITEM[x ^ 1] if x < 4 else 7)
+    return fr << 3 | to
 
 
 # the shape of a segment, indexed by its two symbols x << 3 | y
 _PAIR_SHAPES = bytes([_pair_shape(x, y) if x < 7 and y < 7 else 0
                       for x in range(8) for y in range(8)]).ljust(256, b"\0")
 
+# the start and the end item of each shape, as translate tables
+_FROM = bytes([s >> 3 & 7 for s in range(256)])
+_TO = bytes([s & 7 for s in range(256)])
+
+# the label of each segment shape
+_LABELS = tuple([ITEM_LABELS[s >> 3] + ITEM_LABELS[s & 7] for s in range(64)])
+
+
+def _shapes(w: ArcWord):
+    """The shape fr << 3 | to of each segment of ``w``, as bytes.
+
+    Raises AlignmentOverrun, naming the word and the position, when a
+    segment starts and ends on the same side, that is, when a crossing
+    is undone by its reverse.
+    """
+    from_bytes = int.from_bytes
+    symbols = bytes([w.start + 3, *w.letters, w.end + 3])
+    # every symbol beside its successor, as one byte x << 3 | y each
+    sc = (from_bytes(symbols[:-1], "big") << 3
+          | from_bytes(symbols[1:], "big")).to_bytes(
+              len(symbols) - 1, "big").translate(_PAIR_SHAPES)
+    if 0 in sc:
+        k = sc.index(0)
+        crossing = ITEM_LABELS[EDGE_ITEM[w.letters[k]]]
+        raise AlignmentOverrun(f"{w}: crossing {crossing!r} undoes "
+                               f"the previous one (position {k + 1})")
+    return sc
+
+
+def endpoint_items(start, letters, end):
+    """Raw from/to item lists of the segments, one entry per segment;
+    AlignmentOverrun, as from ``_shapes``, for a word not reduced."""
+    sc = _shapes(ArcWord(start, letters, end))
+    return list(sc.translate(_FROM)), list(sc.translate(_TO))
+
+
 # the character of each symbol code: letters 0-3, boundary digit d as d + 3
 _SYMBOL_CHARS = LETTER_CHARS + SEAM_CHARS
 
 # for each symbol, the letters and then the closing digits that may follow
 # it in a word, each with the shape of the segment between the two, in
-# the ASCII order of their characters
+# the ASCII order of their characters; shape 0, a letter's inverse, is out
 _SUCCESSORS = tuple(
     tuple(tuple([(y, _PAIR_SHAPES[x << 3 | y])
                  for y in sorted(ys, key=_SYMBOL_CHARS.__getitem__)
                  if _SYMBOL_CHARS[x] + _SYMBOL_CHARS[y] not in _STUCK
-                 and (x > 3 or y != x ^ 1)])
+                 and _PAIR_SHAPES[x << 3 | y]])
           for ys in (range(4), range(4, 7)))
     for x in range(7))
 
@@ -162,7 +189,7 @@ def classify(s: Segment, t: Segment) -> Classification:
 
 # every segment shape a word can produce, by label: the shape of each
 # symbol pair with a letter (two digits make a crossing-free word)
-SEGMENT_LABELS = {ITEM_LABELS[s >> 3] + ITEM_LABELS[s & 7]: Segment(s >> 3, s & 7)
+SEGMENT_LABELS = {_LABELS[s]: Segment(s >> 3, s & 7)
                   for x, (letters, ends) in enumerate(_SUCCESSORS)
                   for y, s in letters + ends if x < 4 or y < 4}
 

@@ -11,6 +11,7 @@ import functools
 import io
 import itertools
 import json
+import multiprocessing
 import random
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -19,7 +20,7 @@ import pytest
 
 from pantsarc import cli
 from pantsarc.census import census, enumerate_words, length_bounds, load_reference_minmax
-from pantsarc.intersect import _shapes, _strand_side, _walk_chain, self_intersection, trace
+from pantsarc.intersect import _strand_side, _walk_chain, self_intersection, trace
 from pantsarc.lowlying import (
     family_intersections,
     family_quotients,
@@ -30,6 +31,7 @@ from pantsarc.planar import (
     DECISIONS,
     SEGMENT_LABELS,
     Classification,
+    _shapes,
     load_reference_pairs,
     regenerate_tables,
 )
@@ -250,8 +252,15 @@ def test_circle_oracle_agreement():
 
 
 @criterion(11, "census report is byte-identical across worker counts")
-def test_census_determinism():
-    rc1, out1, _ = run_cli("census", "--length", "10", "--jobs", "1")
-    rc8, out8, _ = run_cli("census", "--length", "10", "--jobs", "8")
+def test_census_determinism(monkeypatch):
+    # length 12 is the first length whose census starts a pool
+    started = []
+    pool = multiprocessing.Pool
+    monkeypatch.setattr(multiprocessing, "Pool",
+                        lambda n: started.append(n) or pool(n))
+    rc1, out1, _ = run_cli("census", "--length", "12", "--jobs", "1")
+    assert started == []
+    rc8, out8, _ = run_cli("census", "--length", "12", "--jobs", "8")
+    assert len(started) == 1
     assert rc1 == 0 and rc8 == 0
     assert out1 == out8

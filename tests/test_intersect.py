@@ -11,7 +11,6 @@ from pantsarc.intersect import (
     AlignmentOverrun,
     Chain,
     _kernel_tables,
-    _shapes,
     _strand_side,
     resolve_chain,
     self_intersection,
@@ -233,15 +232,6 @@ def test_count_matches_trace_and_chain_walks():
             chain.decision for chain in _chains(w)), str(w)
 
 
-def test_shapes_match_the_endpoint_items():
-    # the shape bytes, read off symbol pairs, against the segment
-    # endpoints, on every word through length 10, bare words included
-    for wl in range(2, 11):
-        for w in enumerate_words(wl):
-            fr, to = endpoint_items(w.start, w.letters, w.end)
-            assert list(_shapes(w)) == [f << 3 | t for f, t in zip(fr, to)], str(w)
-
-
 def test_kernel_rows_price_or_hand_on():
     # one row per shape; on every entry a residual byte can reach, a
     # row holds a price of 0 or 1 or hands a verdict on in bit 6 or 7,
@@ -326,7 +316,8 @@ def test_free_chain_is_never_charged():
 
 def test_non_reduced_words_are_rejected():
     # hand-built words, parse_word bypassed: every start, end and letter
-    # string through 6 crossings, endpoint clashes included
+    # string through 6 crossings, endpoint clashes included, through the
+    # engine and through the planar model's readers of the segments
     for crossings in range(7):
         for letters in itertools.product(range(4), repeat=crossings):
             undone = next((k for k in range(1, crossings)
@@ -337,7 +328,8 @@ def test_non_reduced_words_are_rejected():
                     assert self_intersection(w) == trace(w).total, str(w)
                     continue
                 for call in (self_intersection, trace,
-                             lambda w: resolve_chain(w, 1, 2)):
+                             lambda w: resolve_chain(w, 1, 2), segments,
+                             lambda w: endpoint_items(w.start, w.letters, w.end)):
                     with pytest.raises(AlignmentOverrun) as err:
                         call(w)
                     assert str(err.value).startswith(f"{w}: ")

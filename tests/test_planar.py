@@ -4,7 +4,9 @@ import random
 import pytest
 from hypothesis import given
 
+from pantsarc.census import enumerate_words
 from pantsarc.planar import (
+    _PAIR_SHAPES,
     CORNER_ITEM,
     DECISIONS,
     EDGE_ITEM,
@@ -15,6 +17,7 @@ from pantsarc.planar import (
     Classification,
     Segment,
     classify,
+    endpoint_items,
     load_reference_pairs,
     regenerate_tables,
     segments,
@@ -41,6 +44,52 @@ def _classify_raw(f1, t1, f2, t2):
     if inside == 1:
         return Classification.INTERSECTING
     return Classification.NON_INTERSECTING
+
+
+def _endpoint_items_raw(start, letters, end):
+    """The segments' items, one segment at a time: the reference for
+    _PAIR_SHAPES and endpoint_items."""
+    L = len(letters)
+    if L == 0:
+        head = 3 if start == 3 else CORNER_ITEM[start]
+        tail = 7 if end == 3 else CORNER_ITEM[end]
+        return [head], [tail]
+    fr = [0] * (L + 1)
+    to = [0] * (L + 1)
+    first = letters[0]
+    fr[0] = CORNER_ITEM[start] if start != 3 else FAR_WAIST_ITEM[first]
+    to[0] = EDGE_ITEM[first]
+    for t in range(1, L):
+        fr[t] = EDGE_ITEM[letters[t - 1] ^ 1]
+        to[t] = EDGE_ITEM[letters[t]]
+    back = letters[L - 1] ^ 1
+    fr[L] = EDGE_ITEM[back]
+    to[L] = CORNER_ITEM[end] if end != 3 else FAR_WAIST_ITEM[back]
+    return fr, to
+
+
+def test_pair_shapes_match_the_reference_loop():
+    # all 49 symbol pairs, each as the segment after its first symbol
+    # in the one- or two-letter word the pair makes; a letter followed
+    # by its inverse is the marker 0, and every other byte is 0 too
+    want = bytearray(256)
+    for x, y in itertools.product(range(7), repeat=2):
+        if x < 4 and y == x ^ 1:
+            continue
+        letters = tuple([c for c in (x, y) if c < 4])
+        fr, to = _endpoint_items_raw(x - 3 if x > 3 else 3, letters,
+                                     y - 3 if y > 3 else 3)
+        k = int(x < 4)
+        want[x << 3 | y] = fr[k] << 3 | to[k]
+    assert _PAIR_SHAPES == want
+
+
+def test_endpoint_items_match_the_reference_loop():
+    # every word through length 10, bare words included
+    for wl in range(2, 11):
+        for w in enumerate_words(wl):
+            want = _endpoint_items_raw(w.start, w.letters, w.end)
+            assert endpoint_items(w.start, w.letters, w.end) == want, str(w)
 
 
 def test_boundary_cycle_reads_the_surface_word():
