@@ -5,7 +5,8 @@ every valid word of a given length and tallies the distribution of
 self-intersection numbers.  Words sharing a prefix share every
 segment pair inside that prefix, so the walk is a depth-first search
 over letters that carries a running subtotal per tree node instead of
-re-pricing each word from scratch.
+re-pricing each word from scratch; the intersect module's
+``_count_tree`` runs it, with the word engine's rows and step.
 
 The search, ``enumerate_words`` and the task split all walk the
 planar module's successor table, ``_SUCCESSORS``.  It codes symbols
@@ -13,29 +14,6 @@ as the intersect module does, letters 0-3 and boundary digit d as
 d + 3, and lists for each symbol the letters and the closing digits
 that may follow it, in ASCII order, each with the shape of the
 segment between the two.
-
-Each undecidable pair belongs to a chain, and the search charges it
-by the word engine's rule and with the word engine's rows (see the
-intersect module): once, at the member whose larger segment index is
-largest, reading the verdict off the *residual byte* of the earlier
-segment p as seen from the newest segment s.  Each segment shape has
-one merged row: bit 0 of an entry is the price of the pair, and bits
-6 and 7 hand the verdict on to the chain's next member.
-
-The word engine steps one residual per segment along a single word.
-The search steps one residual per tree node instead, and that is all
-it adds: the children of a node share their newest segment s's start
-fr[s] and every earlier segment, and only to[s] differs between them.
-The residual holds the chain end no child can move, so a node steps
-its residual from its parent's once, and each child is one
-``bytes.translate`` through the row of its shape and a count of the
-ones, both in C; the same translate hands the child's verdicts on to
-its own children.  Every word's total equals the word engine's.
-
-The word engine rejects a word with a crossing undone by its reverse
-with AlignmentOverrun before it prices any pair, because its steps
-presume a reduced word.  The search grows reduced words only, so it
-needs no such guard.
 
 The search splits into eight independent tasks keyed by the starting
 boundary and the first crossing.  Two symmetries of the pants permute
@@ -64,9 +42,9 @@ from __future__ import annotations
 import os
 from collections import Counter, namedtuple
 
-from .intersect import _kernel_tables
+from .intersect import _count_tree
 from .lowlying import family_intersections, family_word
-from .planar import _PAIR_SHAPES, _SUCCESSORS
+from .planar import _SUCCESSORS
 from .words import ArcWord, _data_lines
 
 # every arc with no self-crossing at all, up to free homotopy
@@ -123,33 +101,7 @@ def _first_letter_tasks():
 
 def _census_task(word_length, start, first):
     """Histogram over all words of one (start, first crossing) job."""
-    rows = _kernel_tables()
-    L = word_length - 2
-    from_bytes = int.from_bytes
-    # a residual as the word engine reads it: segment k - 1 in the low
-    # byte, a parallel chain's verdict kept in its byte and an
-    # antiparallel one moved two bytes up, both under _count's one mask
-    kept = from_bytes(b"\x40" * L, "little")
-    hist = Counter()
-
-    def grow(k, prev, shapes, priced, subtotal):
-        # shapes holds segments k - 1 down to 0, and priced is the
-        # residual seen from segment k - 1 translated through that
-        # segment's row; the children of this node share segment k's
-        # start, so one step prices every chain they share
-        y = from_bytes(priced, "little")
-        residual = (shapes | (y | y << 15) & kept).to_bytes(k, "little")
-        letters, ends = _SUCCESSORS[prev]
-        if k == L:
-            for _, cs in ends:
-                hist[subtotal + residual.translate(rows[cs]).count(1)] += 1
-            return
-        for c, cs in letters:
-            priced = residual.translate(rows[cs])
-            grow(k + 1, c, shapes << 8 | cs, priced, subtotal + priced.count(1))
-
-    grow(1, first, _PAIR_SHAPES[(start + 3) << 3 | first], b"", 0)
-    return hist
+    return _count_tree(word_length, start, first)
 
 
 class CensusReport(namedtuple("CensusReport",

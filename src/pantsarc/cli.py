@@ -207,21 +207,35 @@ def _cmd_spectrum(args):
 
 def _cmd_cover(args):
     limit = args.max
-    members = {fam: value_set_members(fam, limit) for fam in _COVER_FAMILIES}
-    groups = {fam: set() for fam in FAMILIES}
+    # bit k of reach[v]: family k's parameterization reaches v; the
+    # sporadic values share one more bit, so a gap is a 0
+    bits = {fam: 1 << k for k, fam in enumerate(_COVER_FAMILIES)}
+    reach = bytearray(limit + 1)
+    for fam, bit in bits.items():
+        for v in value_set_members(fam, limit):
+            reach[v] |= bit
+    for v, fam in _SPORADIC_VALUES.items():
+        bits[fam] = 1 << len(_COVER_FAMILIES)
+        if v <= limit:
+            reach[v] |= bits[fam]
+    # every value where reach disagrees with decompose, with the family
+    # decompose gives; one without a bit disagrees with every reach
+    odd = []
     for v in range(limit + 1):
-        groups[decompose(v).family].add(v)
-    identities = {fam: vals == groups[fam] for fam, vals in members.items()}
-    union = set().union(*members.values()) | set(_SPORADIC_VALUES)
-    gaps = sorted(set(range(limit + 1)) - union)
+        fam = decompose(v).family
+        if reach[v] != bits.get(fam, 0x100):
+            odd.append((v, fam))
+    gaps = [v for v, _ in odd if not reach[v]]
+    identities = {f: all(bool(reach[v] & bits[f]) == (fam == f)
+                         for v, fam in odd)
+                  for f in _COVER_FAMILIES}
     payload = {"max": limit, "gaps": gaps, "identities": identities}
     failure = None
-    if gaps or not all(identities.values()):
-        # a gap also breaks the identity of the family decompose puts it in
-        v = min(set().union(*(vals ^ groups[f] for f, vals in members.items())))
-        reached = [f for f, vals in members.items() if v in vals]
+    if odd:
+        v, fam = odd[0]
+        reached = [f for f in _COVER_FAMILIES if reach[v] & bits[f]]
         failure = (f"{len(gaps)} gaps, first mismatch {v}: decompose gives "
-                   f"{decompose(v).family}, the parameterizations give "
+                   f"{fam}, the parameterizations give "
                    f"{', '.join(reached) or 'none'}")
     return _verdict(payload, args,
                     f"values 0..{limit}, {len(gaps)} gaps, identities "

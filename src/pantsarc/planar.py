@@ -24,13 +24,14 @@ sharing a cutting-arc side are undecidable from the endpoints alone
 A segment's shape fr << 3 | to depends only on the two symbols around
 it, and ``_PAIR_SHAPES``, one byte per symbol pair, is the one
 statement of it.  ``_shapes`` reads all of a word's shapes in one
-translate and rejects a word that is not reduced; the count, ``trace``,
-``resolve_chain``, ``segments`` and ``endpoint_items`` all go through
-it.  ``_SUCCESSORS`` lists the symbols that may follow each symbol
-(``words._STUCK``, and no letter after its inverse) with their shapes.
-The census walks it, and ``tables --verify`` checks ``SEGMENT_LABELS``,
-read off it, through ``DECISIONS``, the decision table the engine
-reads, against the packaged decidable pairs.
+translate and rejects a word that is not reduced or holds a code out of
+range; the count, ``trace``, ``resolve_chain``, ``segments`` and
+``endpoint_items`` all go through it.  ``_SUCCESSORS`` lists the
+symbols that may follow each symbol (``words._STUCK``, and no letter
+after its inverse) with their shapes.  The census walks it, and
+``tables --verify`` checks ``SEGMENT_LABELS``, read off it, through
+``DECISIONS``, the decision table the engine reads, against the
+packaged decidable pairs.
 """
 
 from __future__ import annotations
@@ -109,20 +110,31 @@ _TO = bytes([s & 7 for s in range(256)])
 _LABELS = tuple([ITEM_LABELS[s >> 3] + ITEM_LABELS[s & 7] for s in range(64)])
 
 
+# the symbol of each letter code: 0-3 kept, any other code 7, whose
+# every pair shape is the 0 marker
+_LETTER_SYMBOLS = bytes(range(4)).ljust(256, b"\7")
+
+
 def _shapes(w: ArcWord):
     """The shape fr << 3 | to of each segment of ``w``, as bytes.
 
     Raises AlignmentOverrun, naming the word and the position, when a
     segment starts and ends on the same side, that is, when a crossing
-    is undone by its reverse.
+    is undone by its reverse.  Raises ValueError, naming the word by its
+    repr, for a boundary digit outside 1-3 or a letter code outside 0-3.
     """
+    if not (0 < w.start < 4 and 0 < w.end < 4):
+        raise ValueError(f"{w!r}: boundary digits must be 1, 2 or 3")
     from_bytes = int.from_bytes
-    symbols = bytes([w.start + 3, *w.letters, w.end + 3])
+    letters = bytes(w.letters).translate(_LETTER_SYMBOLS)
+    L = len(letters)
+    mid = from_bytes(letters, "big")
     # every symbol beside its successor, as one byte x << 3 | y each
-    sc = (from_bytes(symbols[:-1], "big") << 3
-          | from_bytes(symbols[1:], "big")).to_bytes(
-              len(symbols) - 1, "big").translate(_PAIR_SHAPES)
+    sc = ((w.start + 3 << 8 * L | mid) << 3 | mid << 8 | w.end + 3).to_bytes(
+        L + 1, "big").translate(_PAIR_SHAPES)
     if 0 in sc:
+        if 7 in letters:
+            raise ValueError(f"{w!r}: letter codes must be 0-3")
         k = sc.index(0)
         crossing = ITEM_LABELS[EDGE_ITEM[w.letters[k]]]
         raise AlignmentOverrun(f"{w}: crossing {crossing!r} undoes "
@@ -154,8 +166,8 @@ _SUCCESSORS = tuple(
 
 def segments(w: ArcWord):
     """The chords crossed by the arc, in order along the word."""
-    fr, to = endpoint_items(w.start, w.letters, w.end)
-    return [Segment(f, t) for f, t in zip(fr, to)]
+    sc = _shapes(w)
+    return list(map(Segment, sc.translate(_FROM), sc.translate(_TO)))
 
 
 # decision against a second chord from the codes of its two end items:

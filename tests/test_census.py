@@ -31,11 +31,16 @@ TASK_ORBITS = tuple(
 
 def test_count_formula():
     assert [count_words(wl) for wl in range(2, 8)] == [7, 16, 48, 144, 432, 1296]
+    with pytest.raises(ValueError, match="at least two symbols"):
+        count_words(1)
 
 
 def test_count_matches_enumeration():
     for wl in range(2, 8):
         assert len(list(enumerate_words(wl))) == count_words(wl)
+    words = enumerate_words(1)
+    with pytest.raises(ValueError, match="at least two symbols"):
+        next(words)
 
 
 def _parses(text):
@@ -159,6 +164,8 @@ def test_length_bounds_frame_the_census(census_by_length):
         assert lo <= report.min_i <= report.max_i <= hi
         if wl % 2 == 1:  # odd crossing count: the floor is attained
             assert report.min_i == lo
+    with pytest.raises(ValueError, match="at least two symbols"):
+        length_bounds(1)
 
 
 def test_conjectured_max_attained(census_by_length):
@@ -172,3 +179,6 @@ def test_max_witness_words():
         assert str(parse_word(str(w))) == str(w)
         assert w.word_length == wl
         assert self_intersection(w) == conjectured_max(wl)
+    for call in (conjectured_max, max_witness):
+        with pytest.raises(ValueError, match="at least two symbols"):
+            call(1)

@@ -87,6 +87,8 @@ def test_family_argument_errors():
         family_word("C2", 1)
     with pytest.raises(UnsupportedFamily):
         family_quotients("F1", 1)
+    with pytest.raises(UnsupportedFamily, match="no value-set rule"):
+        value_set_members("F1", 10)
 
 
 def test_continued_fraction_values():
