@@ -61,12 +61,13 @@ own children.
 The shapes of a word come from one translate too, ``planar._shapes``
 of the symbol pairs through ``planar._PAIR_SHAPES``.
 
-The steps presume a reduced word.  A crossing undone by its reverse
-leaves a segment that starts and ends on one side, where a chain can
-collide with itself.  ``planar._shapes`` rejects such a word with
+The steps presume a reduced and taut word.  A crossing undone by its
+reverse leaves a segment from a side to itself, where a chain can
+collide with itself, and an endpoint clash one that retracts.
+``planar._shapes`` rejects a word ``parse_word`` refuses with
 AlignmentOverrun, so the count, ``trace``, ``resolve_chain`` and the
 planar model's ``segments`` and ``endpoint_items`` all refuse it before
-they look at any pair; the tree grows reduced words only, from
+they look at any pair; the tree grows valid words only, from
 ``planar._SUCCESSORS``.  The strands of a reduced word never collide:
 that needs to[P] == fr[Q] with Q - P <= 2, but a segment starts on the
 far side of the cutting arc its predecessor ends on, and Q - P == 2
@@ -102,8 +103,8 @@ from .words import ArcWord
 def self_intersection(w: ArcWord) -> int:
     """Minimal number of self-crossings of the arc described by ``w``.
 
-    Raises AlignmentOverrun, naming the word, for a word with a crossing
-    undone by its reverse (one built without ``parse_word``).
+    Raises AlignmentOverrun, naming the word, for a word built by hand
+    that ``parse_word`` refuses.
     """
     return _count(_shapes(w))
 
@@ -337,14 +338,14 @@ class Trace(namedtuple("Trace", "word labels grid total")):
     i < j, row by row in ``itertools.combinations`` order: decided pairs
     carry their contribution, chain members defer to the forward-most
     member of their chain, which carries the digit for the whole chain
-    and is the only place a chain can add to the total.  Unlike the
-    other records a trace has an instance ``__dict__``, which holds
-    ``cells`` once built.
+    and is the only place a chain can add to the total.
     """
 
-    @functools.cached_property
+    __slots__ = ()
+
+    @property
     def cells(self) -> dict:
-        """The grid's cells keyed by pair (i, j), built on first use."""
+        """The grid's cells keyed by pair (i, j), built on each access."""
         pairs = itertools.combinations(range(1, len(self.labels) + 1), 2)
         return dict(zip(pairs, self.grid))
 
@@ -376,8 +377,8 @@ class Trace(namedtuple("Trace", "word labels grid total")):
 def trace(w: ArcWord) -> Trace:
     """Evaluate the word and keep the whole pair grid for inspection.
 
-    Raises AlignmentOverrun, naming the word, for a word with a crossing
-    undone by its reverse.
+    Raises AlignmentOverrun, naming the word, for a word built by hand
+    that ``parse_word`` refuses.
     """
     sc = _shapes(w)
     T = len(sc)

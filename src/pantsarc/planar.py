@@ -23,15 +23,15 @@ sharing a cutting-arc side are undecidable from the endpoints alone
 
 A segment's shape fr << 3 | to depends only on the two symbols around
 it, and ``_PAIR_SHAPES``, one byte per symbol pair, is the one
-statement of it.  ``_shapes`` reads all of a word's shapes in one
-translate and rejects a word that is not reduced or holds a code out of
-range; the count, ``trace``, ``resolve_chain``, ``segments`` and
+statement of it, the 0 marker on every pair the grammar forbids.
+``_shapes`` reads all of a word's shapes in one translate and rejects a
+word that ``parse_word`` refuses or that holds a code out of range; the
+count, ``trace``, ``resolve_chain``, ``segments`` and
 ``endpoint_items`` all go through it.  ``_SUCCESSORS`` lists the
-symbols that may follow each symbol (``words._STUCK``, and no letter
-after its inverse) with their shapes.  The census walks it, and
-``tables --verify`` checks ``SEGMENT_LABELS``, read off it, through
-``DECISIONS``, the decision table the engine reads, against the
-packaged decidable pairs.
+symbols that may follow each symbol with their shapes.  The census
+walks it, and ``tables --verify`` checks ``SEGMENT_LABELS``, read off
+it, through ``DECISIONS``, the decision table the engine reads, against
+the packaged decidable pairs.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from __future__ import annotations
 import enum
 from collections import namedtuple
 
-from .words import LETTER_CHARS, SEAM_CHARS, ArcWord, _STUCK, _data_lines
+from .words import LETTER_CHARS, SEAM_CHARS, ArcWord, WordError, _data_lines, _scan
 
 N_ITEMS = 8
 
@@ -71,8 +71,8 @@ class Classification(enum.Enum):
 
 
 class AlignmentOverrun(RuntimeError):
-    """A chain left the segment range or collided with itself: the word
-    is not reduced."""
+    """A hand-built word that ``parse_word`` refuses: a segment retracts,
+    and a chain can leave the segment range or collide with itself."""
 
 
 def _pair_shape(x, y):
@@ -84,18 +84,16 @@ def _pair_shape(x, y):
     1 or 2, or of digit 3 away from the side at its other end (3 at the
     start and 7 at the end of a word with no letter).
 
-    A letter followed by its inverse makes a segment that starts and
-    ends on one cutting-arc side.  All four such shapes are written as
-    0, the shape of the one from side a to itself, so that one byte
-    search finds them.
+    A segment joining one item, or two neighbours, retracts, and the
+    grammar forbids its pair: a letter and its inverse, an endpoint
+    clash, 11 or 22.  All such shapes are written as 0, the shape of
+    the one from side a to itself, so that one byte search finds them.
     """
-    if x < 4 and y == x ^ 1:
-        return 0
     fr = (EDGE_ITEM[x ^ 1] if x < 4 else CORNER_ITEM[x - 3] if x < 6
           else FAR_WAIST_ITEM[y] if y < 4 else 3)
     to = (EDGE_ITEM[y] if y < 4 else CORNER_ITEM[y - 3] if y < 6
           else FAR_WAIST_ITEM[x ^ 1] if x < 4 else 7)
-    return fr << 3 | to
+    return 0 if (to - fr) % N_ITEMS in (0, 1, 7) else fr << 3 | to
 
 
 # the shape of a segment, indexed by its two symbols x << 3 | y
@@ -115,36 +113,47 @@ _LABELS = tuple([ITEM_LABELS[s >> 3] + ITEM_LABELS[s & 7] for s in range(64)])
 _LETTER_SYMBOLS = bytes(range(4)).ljust(256, b"\7")
 
 
+def _code_error(w):
+    """The ValueError for a word holding a code that is no symbol,
+    naming the word by its repr, since str() of it can itself fail."""
+    if all(isinstance(d, int) and 0 < d < 4 for d in (w.start, w.end)):
+        return ValueError(f"{w!r}: letter codes must be 0-3")
+    return ValueError(f"{w!r}: boundary digits must be 1, 2 or 3")
+
+
 def _shapes(w: ArcWord):
     """The shape fr << 3 | to of each segment of ``w``, as bytes.
 
-    Raises AlignmentOverrun, naming the word and the position, when a
-    segment starts and ends on the same side, that is, when a crossing
-    is undone by its reverse.  Raises ValueError, naming the word by its
-    repr, for a boundary digit outside 1-3 or a letter code outside 0-3.
+    Raises ValueError, naming the word by its repr, for a boundary digit
+    outside 1-3 or a letter code outside 0-3.  Raises AlignmentOverrun
+    for a hand-built word the grammar refuses, with the word and then
+    the message ``parse_word`` gives.
     """
     if not (0 < w.start < 4 and 0 < w.end < 4):
-        raise ValueError(f"{w!r}: boundary digits must be 1, 2 or 3")
-    from_bytes = int.from_bytes
-    letters = bytes(w.letters).translate(_LETTER_SYMBOLS)
-    L = len(letters)
-    mid = from_bytes(letters, "big")
-    # every symbol beside its successor, as one byte x << 3 | y each
-    sc = ((w.start + 3 << 8 * L | mid) << 3 | mid << 8 | w.end + 3).to_bytes(
-        L + 1, "big").translate(_PAIR_SHAPES)
+        raise _code_error(w)
+    try:
+        letters = bytes(w.letters).translate(_LETTER_SYMBOLS)
+        L = len(letters)
+        mid = int.from_bytes(letters, "big")
+        # every symbol beside its successor, as one byte x << 3 | y each
+        sc = ((w.start + 3 << 8 * L | mid) << 3 | mid << 8 | w.end + 3).to_bytes(
+            L + 1, "big").translate(_PAIR_SHAPES)
+    except (TypeError, ValueError):
+        # a code that is not an int, or a letter code that is not a byte
+        raise _code_error(w) from None
     if 0 in sc:
         if 7 in letters:
-            raise ValueError(f"{w!r}: letter codes must be 0-3")
-        k = sc.index(0)
-        crossing = ITEM_LABELS[EDGE_ITEM[w.letters[k]]]
-        raise AlignmentOverrun(f"{w}: crossing {crossing!r} undoes "
-                               f"the previous one (position {k + 1})")
+            raise _code_error(w)
+        try:
+            _scan(str(w))
+        except WordError as exc:
+            raise AlignmentOverrun(f"{w}: {exc}") from exc
     return sc
 
 
 def endpoint_items(start, letters, end):
     """Raw from/to item lists of the segments, one entry per segment;
-    AlignmentOverrun, as from ``_shapes``, for a word not reduced."""
+    AlignmentOverrun, as from ``_shapes``, for a word refused."""
     sc = _shapes(ArcWord(start, letters, end))
     return list(sc.translate(_FROM)), list(sc.translate(_TO))
 
@@ -154,12 +163,11 @@ _SYMBOL_CHARS = LETTER_CHARS + SEAM_CHARS
 
 # for each symbol, the letters and then the closing digits that may follow
 # it in a word, each with the shape of the segment between the two, in
-# the ASCII order of their characters; shape 0, a letter's inverse, is out
+# the ASCII order of their characters; shape 0, a forbidden pair, is out
 _SUCCESSORS = tuple(
     tuple(tuple([(y, _PAIR_SHAPES[x << 3 | y])
                  for y in sorted(ys, key=_SYMBOL_CHARS.__getitem__)
-                 if _SYMBOL_CHARS[x] + _SYMBOL_CHARS[y] not in _STUCK
-                 and _PAIR_SHAPES[x << 3 | y]])
+                 if _PAIR_SHAPES[x << 3 | y]])
           for ys in (range(4), range(4, 7)))
     for x in range(7))
 

@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 from hypothesis import given
 
-from pantsarc.census import enumerate_words, length_bounds
+from pantsarc.census import count_words, enumerate_words, length_bounds
 from pantsarc.intersect import (
     AlignmentOverrun,
     Chain,
@@ -19,7 +19,8 @@ from pantsarc.intersect import (
 from pantsarc.lowlying import witness
 from pantsarc.planar import endpoint_items, segments
 from pantsarc.words import (
-    ArcWord, inverse, is_positive, parse_word, positivize, relabel, seam_counts)
+    ArcWord, WordError, inverse, is_positive, parse_word, positivize, relabel,
+    seam_counts)
 
 import oracle_modular
 from circle_oracle import item_points, second_strand_left
@@ -316,24 +317,28 @@ def test_free_chain_is_never_charged():
 
 def test_non_reduced_words_are_rejected():
     # hand-built words, parse_word bypassed: every start, end and letter
-    # string through 6 crossings, endpoint clashes included, through the
-    # engine and through the planar model's readers of the segments
+    # string through 6 crossings (49,149 words), endpoint clashes and
+    # bare 11 and 22 included; the engine and the planar model's readers
+    # of the segments accept exactly the words parse_word accepts, and
+    # refuse every other with the word and then parse_word's message
+    readers = (self_intersection, trace, lambda w: resolve_chain(w, 1, 2),
+               segments, lambda w: endpoint_items(w.start, w.letters, w.end))
+    accepted = 0
     for crossings in range(7):
         for letters in itertools.product(range(4), repeat=crossings):
-            undone = next((k for k in range(1, crossings)
-                           if letters[k] == letters[k - 1] ^ 1), None)
             for start, end in itertools.product((1, 2, 3), repeat=2):
                 w = ArcWord(start, letters, end)
-                if undone is None:
-                    assert self_intersection(w) == trace(w).total, str(w)
+                try:
+                    parse_word(str(w))
+                except WordError as exc:
+                    for call in readers:
+                        with pytest.raises(AlignmentOverrun) as err:
+                            call(w)
+                        assert str(err.value) == f"{w}: {exc}"
                     continue
-                for call in (self_intersection, trace,
-                             lambda w: resolve_chain(w, 1, 2), segments,
-                             lambda w: endpoint_items(w.start, w.letters, w.end)):
-                    with pytest.raises(AlignmentOverrun) as err:
-                        call(w)
-                    assert str(err.value).startswith(f"{w}: ")
-                    assert f"(position {undone + 1})" in str(err.value)
+                accepted += 1
+                assert self_intersection(w) == trace(w).total, str(w)
+    assert accepted == sum(count_words(wl) for wl in range(2, 9)) == 5831
 
 
 def test_out_of_range_codes_are_rejected():
@@ -341,7 +346,8 @@ def test_out_of_range_codes_are_rejected():
     # outside 0-3: every reader of the segments refuses them, naming the
     # word by its repr, since str() of such a word can itself fail
     for w in (ArcWord(0, (), 2), ArcWord(1, (0,), 4), ArcWord(1, (5,), 2),
-              ArcWord(3, (0, 4, 0), 3)):
+              ArcWord(3, (0, 4, 0), 3), ArcWord(1, (300,), 2),
+              ArcWord(1, (-1,), 2), ArcWord(1.5, (0,), 2)):
         for call in (self_intersection, trace,
                      lambda w: resolve_chain(w, 1, 2), segments,
                      lambda w: endpoint_items(w.start, w.letters, w.end)):

@@ -115,6 +115,8 @@ def test_seam_counts_examples():
     assert seam_counts(parse_word("1BABA2")) == (2, 2)
     assert seam_counts(parse_word("12")) == (0, 0)
     assert seam_counts(parse_word("1bAbAbA3")) == (3, 3)
+    # a word whose counts differ, so the two cannot be swapped
+    assert seam_counts(parse_word("1baa2")) == (2, 1)
 
 
 @given(arc_words())
