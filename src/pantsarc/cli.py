@@ -3,11 +3,17 @@
 One subcommand per invocation; results go to standard output in JSON
 (default) or plain text, diagnostics to standard error.  Exit codes:
 0 success, 1 invalid input, 2 verification failure, 3 internal error.
+
+``main`` builds its parser once per process, on its first call, and
+reuses it on every later call: parsing returns a new namespace each
+time, and every handler looks up the library functions it calls when it
+runs, so one call leaves nothing behind for the next.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -405,10 +411,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser ``main`` reads every command line with."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    """Entry point; returns the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Entry point; returns the process exit code.  It may be called
+    any number of times in one process; the parser is built on the
+    first call only."""
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except (ValueError, OSError) as exc:

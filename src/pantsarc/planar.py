@@ -117,7 +117,7 @@ def _code_error(w):
     """The ValueError for a word holding a code that is no symbol,
     naming the word by its repr, since str() of it can itself fail."""
     if all(isinstance(d, int) and 0 < d < 4 for d in (w.start, w.end)):
-        return ValueError(f"{w!r}: letter codes must be 0-3")
+        return ValueError(f"{w!r}: letters must be a sequence of codes 0-3")
     return ValueError(f"{w!r}: boundary digits must be 1, 2 or 3")
 
 
@@ -125,21 +125,24 @@ def _shapes(w: ArcWord):
     """The shape fr << 3 | to of each segment of ``w``, as bytes.
 
     Raises ValueError, naming the word by its repr, for a boundary digit
-    outside 1-3 or a letter code outside 0-3.  Raises AlignmentOverrun
+    outside 1-3, a letter code outside 0-3 or letters that are not a
+    sequence, such as a bare int.  Raises AlignmentOverrun
     for a hand-built word the grammar refuses, with the word and then
     the message ``parse_word`` gives.
     """
     if not (0 < w.start < 4 and 0 < w.end < 4):
         raise _code_error(w)
     try:
+        # len() first: bytes() would read a bare int n as n zero bytes
+        L = len(w.letters)
         letters = bytes(w.letters).translate(_LETTER_SYMBOLS)
-        L = len(letters)
         mid = int.from_bytes(letters, "big")
         # every symbol beside its successor, as one byte x << 3 | y each
         sc = ((w.start + 3 << 8 * L | mid) << 3 | mid << 8 | w.end + 3).to_bytes(
             L + 1, "big").translate(_PAIR_SHAPES)
     except (TypeError, ValueError):
-        # a code that is not an int, or a letter code that is not a byte
+        # letters that are no sequence, a code that is not an int, or a
+        # letter code that is not a byte
         raise _code_error(w) from None
     if 0 in sc:
         if 7 in letters:

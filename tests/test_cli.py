@@ -164,6 +164,26 @@ def test_unknown_subcommand_is_exit_1():
     assert exc.value.code == 1
 
 
+def test_main_builds_the_parser_once(monkeypatch):
+    built = []
+
+    def counting():
+        built.append(1)
+        return build_parser()
+
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    for argv in (["intersect", "1BABA2"], ["validate", "12"],
+                 ["intersect", "1aa2"], ["cf", "2,1,1"]):
+        main(argv)
+    with pytest.raises(SystemExit):
+        main(["census", "--jobs", "x"])
+    assert len(built) == 1
+    # build_parser itself still gives a new parser on every call
+    assert build_parser() is not build_parser()
+
+
 def test_enumerate(capsys):
     code, out, _ = run(capsys, "enumerate", "--length", "2")
     payload = json.loads(out)

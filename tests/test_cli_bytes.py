@@ -13,6 +13,8 @@ import hashlib
 import io
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
+
 from pantsarc.cli import main
 
 _WORDS = ("12", "33", "1b1", "1BABA2", "1baB1", "3aB1", "1bAbAbAbA3",
@@ -249,6 +251,17 @@ PINS = """
 
 def test_cli_bytes_are_pinned():
     assert [pin(argv) for argv in commands()] == PINS
+
+
+def test_cli_bytes_hold_in_reverse_order_after_a_usage_error():
+    # one process, one parser: a usage error and then every command in
+    # reverse, text first, so a call that left state in the parser or the
+    # namespace for the next one would change a later pin
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        with pytest.raises(SystemExit) as exc:
+            main(["census", "--jobs", "x"])
+    assert exc.value.code == 1
+    assert [pin(argv) for argv in reversed(commands())] == PINS[::-1]
 
 
 if __name__ == "__main__":

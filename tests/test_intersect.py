@@ -342,12 +342,13 @@ def test_non_reduced_words_are_rejected():
 
 
 def test_out_of_range_codes_are_rejected():
-    # hand-built words with a boundary digit outside 1-3 or a letter code
-    # outside 0-3: every reader of the segments refuses them, naming the
-    # word by its repr, since str() of such a word can itself fail
+    # hand-built words with a boundary digit outside 1-3, a letter code
+    # outside 0-3 or letters that are no sequence (bytes(3) would read
+    # as three a's): every reader of the segments refuses them, naming
+    # the word by its repr, since str() of such a word can itself fail
     for w in (ArcWord(0, (), 2), ArcWord(1, (0,), 4), ArcWord(1, (5,), 2),
               ArcWord(3, (0, 4, 0), 3), ArcWord(1, (300,), 2),
-              ArcWord(1, (-1,), 2), ArcWord(1.5, (0,), 2)):
+              ArcWord(1, (-1,), 2), ArcWord(1.5, (0,), 2), ArcWord(2, 3, 2)):
         for call in (self_intersection, trace,
                      lambda w: resolve_chain(w, 1, 2), segments,
                      lambda w: endpoint_items(w.start, w.letters, w.end)):
