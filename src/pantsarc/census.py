@@ -54,24 +54,28 @@ class BudgetExceeded(RuntimeError):
     """A census was requested beyond the supported size without opting in."""
 
 
+def _crossings(word_length):
+    """The crossing count L = word_length - 2 of a word of that length."""
+    if word_length < 2:
+        raise ValueError("a word has at least two symbols")
+    return word_length - 2
+
+
 def count_words(word_length: int) -> int:
     """Number of valid words of the given length, counted directly.
 
     Crossing-free words contribute 7; with one crossing there are 16
     words, and each further crossing multiplies the count by 3.
     """
-    if word_length < 2:
-        raise ValueError("a word has at least two symbols")
-    if word_length == 2:
+    L = _crossings(word_length)
+    if L == 0:
         return 7
-    return 16 * 3 ** (word_length - 3)
+    return 16 * 3 ** (L - 1)
 
 
 def enumerate_words(word_length: int):
     """Yield every valid word of the given length in ASCII order."""
-    if word_length < 2:
-        raise ValueError("a word has at least two symbols")
-    L = word_length - 2
+    L = _crossings(word_length)
     letters = [0] * L
 
     def grow(k, prev):
@@ -99,9 +103,9 @@ def _first_letter_tasks():
             for c, _ in _SUCCESSORS[start + 3][0]]
 
 
-def _census_task(word_length, start, first):
-    """Histogram over all words of one (start, first crossing) job."""
-    return _count_tree(word_length, start, first)
+# the histogram over all words of one (start, first crossing) task; the
+# pool pickles it by its own name, pantsarc.intersect._count_tree
+_census_task = _count_tree
 
 
 class CensusReport(namedtuple("CensusReport",
@@ -115,13 +119,7 @@ class CensusReport(namedtuple("CensusReport",
         return [[i, self.histogram[i]] for i in sorted(self.histogram)]
 
     def as_dict(self):
-        return {
-            "word_length": self.word_length,
-            "word_count": self.word_count,
-            "min_i": self.min_i,
-            "max_i": self.max_i,
-            "histogram": self.histogram_pairs(),
-        }
+        return {**self._asdict(), "histogram": self.histogram_pairs()}
 
 
 # beyond this length a census covers count_words(17) = 76,527,504 words
@@ -145,8 +143,7 @@ def census(word_length: int, jobs: int | None = None,
     none holds more workers than there are tasks.  Lengths above
     CENSUS_SIZE_LIMIT are refused unless ``allow_large`` is set.
     """
-    if word_length < 2:
-        raise ValueError("a word has at least two symbols")
+    L = _crossings(word_length)
     if word_length > CENSUS_SIZE_LIMIT and not allow_large:
         raise BudgetExceeded(
             f"censuses beyond word length {CENSUS_SIZE_LIMIT} cover "
@@ -156,8 +153,8 @@ def census(word_length: int, jobs: int | None = None,
         jobs = os.cpu_count() or 1
     if jobs < 1:
         raise ValueError(f"jobs must be a positive integer, got {jobs}")
-    if word_length == 2:
-        hist = Counter({0: 7})
+    if L == 0:
+        hist = Counter({0: count_words(2)})
     else:
         tasks = [(word_length, start, first)
                  for start, first in _ORBIT_REPRESENTATIVES]
@@ -183,17 +180,13 @@ def length_bounds(word_length: int):
     ceil(L / 2) - 1 <= i <= L (L + 1) / 2 (lower bound clamped at 0).
     The lower bound is attained for odd L; the upper is far from tight.
     """
-    L = word_length - 2
-    if L < 0:
-        raise ValueError("a word has at least two symbols")
+    L = _crossings(word_length)
     return max(0, (L + 1) // 2 - 1), L * (L + 1) // 2
 
 
 def _max_ladder(word_length: int):
     """Family and n of the ladder word with L = word_length - 2 crossings."""
-    L = word_length - 2
-    if L < 0:
-        raise ValueError("a word has at least two symbols")
+    L = _crossings(word_length)
     return ("F2" if L % 2 == 0 else "F4"), L // 2
 
 

@@ -19,8 +19,12 @@ from pantsarc.census import (
     load_reference_minmax,
     max_witness,
 )
-from pantsarc.intersect import self_intersection
+from pantsarc.intersect import _count_tree, self_intersection
 from pantsarc.words import LETTER_CHARS, WordError, parse_word
+
+# every function of a word length refuses the same lengths with one message
+SHORT_LENGTHS = (1, 0, -1)
+TOO_SHORT = "^a word has at least two symbols$"
 
 # the (start, first crossing) tasks, grouped into their orbits under
 # relabelling (1 <-> 2, a <-> b) and mirroring (a <-> A, b <-> B)
@@ -31,16 +35,18 @@ TASK_ORBITS = tuple(
 
 def test_count_formula():
     assert [count_words(wl) for wl in range(2, 8)] == [7, 16, 48, 144, 432, 1296]
-    with pytest.raises(ValueError, match="at least two symbols"):
-        count_words(1)
+    for wl in SHORT_LENGTHS:
+        with pytest.raises(ValueError, match=TOO_SHORT):
+            count_words(wl)
 
 
 def test_count_matches_enumeration():
     for wl in range(2, 8):
         assert len(list(enumerate_words(wl))) == count_words(wl)
-    words = enumerate_words(1)
-    with pytest.raises(ValueError, match="at least two symbols"):
-        next(words)
+    for wl in SHORT_LENGTHS:
+        words = enumerate_words(wl)
+        with pytest.raises(ValueError, match=TOO_SHORT):
+            next(words)
 
 
 def _parses(text):
@@ -128,6 +134,8 @@ def test_task_orbits_share_one_histogram(census_by_length):
 
 
 def test_tasks_match_the_word_engine():
+    # the pool maps the engine's tree walk itself, pickled by its name
+    assert _census_task is _count_tree
     # every task histogram, word by word against the single-word engine
     for wl in range(3, 11):
         by_task = {t: Counter() for t in _first_letter_tasks()}
@@ -148,8 +156,9 @@ def test_census_budget_guard():
     with pytest.raises(BudgetExceeded, match="word length 16 cover "
                        "76,527,504 words or more"):
         census(17)
-    with pytest.raises(ValueError):
-        census(1)
+    for wl in SHORT_LENGTHS:
+        with pytest.raises(ValueError, match=TOO_SHORT):
+            census(wl)
 
 
 def test_histogram_pairs_sorted(census_by_length):
@@ -164,8 +173,9 @@ def test_length_bounds_frame_the_census(census_by_length):
         assert lo <= report.min_i <= report.max_i <= hi
         if wl % 2 == 1:  # odd crossing count: the floor is attained
             assert report.min_i == lo
-    with pytest.raises(ValueError, match="at least two symbols"):
-        length_bounds(1)
+    for wl in SHORT_LENGTHS:
+        with pytest.raises(ValueError, match=TOO_SHORT):
+            length_bounds(wl)
 
 
 def test_conjectured_max_attained(census_by_length):
@@ -180,5 +190,6 @@ def test_max_witness_words():
         assert w.word_length == wl
         assert self_intersection(w) == conjectured_max(wl)
     for call in (conjectured_max, max_witness):
-        with pytest.raises(ValueError, match="at least two symbols"):
-            call(1)
+        for wl in SHORT_LENGTHS:
+            with pytest.raises(ValueError, match=TOO_SHORT):
+                call(wl)

@@ -1,8 +1,11 @@
+import contextlib
+import gc
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -233,6 +236,25 @@ def test_census_deterministic_across_jobs(capsys):
     _, out1, _ = run(capsys, "census", "--length", "8", "--jobs", "1")
     _, out2, _ = run(capsys, "census", "--length", "8", "--jobs", "2")
     assert out1 == out2
+
+
+def test_census_keeps_nothing_per_call():
+    # the command keeps nothing from one call to the next, so a process
+    # running many grows only by what its caller keeps of their output
+    argv = ["census", "--length", "8", "--jobs", "1"]
+    tracemalloc.start()
+    try:
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            assert main(argv) == 0
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(200):
+                main(argv)
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 16 * 1024
 
 
 def test_census_rejects_bad_jobs(capsys):
