@@ -68,10 +68,11 @@ collide with itself, and an endpoint clash one that retracts.
 AlignmentOverrun, so the count, ``trace``, ``resolve_chain`` and the
 planar model's ``segments`` and ``endpoint_items`` all refuse it before
 they look at any pair; the tree grows valid words only, from
-``planar._SUCCESSORS``.  The strands of a reduced word never collide:
-that needs to[P] == fr[Q] with Q - P <= 2, but a segment starts on the
-far side of the cutting arc its predecessor ends on, and Q - P == 2
-needs a letter followed by its inverse.
+``planar._SUCCESSORS``, and ``_count_tree`` refuses a task with none.
+The strands of a reduced word never collide: that needs to[P] == fr[Q]
+with Q - P <= 2, but a segment starts on the far side of the cutting
+arc its predecessor ends on, and Q - P == 2 needs a letter followed by
+its inverse.
 
 ``trace`` keeps the whole pair grid as one string of cells, row by
 row, and puts a chain's digit at its forward-most member.  It steps
@@ -217,7 +218,14 @@ def _count(sc):
 
 def _count_tree(word_length, start, first):
     """Histogram of the counts of every word of the given length that
-    starts with the boundary digit ``start`` and the letter ``first``."""
+    starts with the boundary digit ``start`` and the letter ``first``;
+    ValueError, naming the task, for a task with no word."""
+    opening = (_PAIR_SHAPES[(start + 3) << 3 | first]
+               if 0 < start < 4 and 0 <= first < 4 else 0)
+    if word_length < 3 or not opening:
+        raise ValueError(f"census task ({word_length}, {start}, {first}) has no "
+                         "word: it needs a length of 3 or more, a boundary "
+                         "digit 1-3 and a letter code 0-3 that may follow it")
     rows = _kernel_tables()
     L = word_length - 2
     from_bytes = int.from_bytes
@@ -239,7 +247,7 @@ def _count_tree(word_length, start, first):
             priced = residual.translate(rows[cs])
             grow(k + 1, c, shapes << 8 | cs, priced, subtotal + priced.count(1))
 
-    grow(1, first, _PAIR_SHAPES[(start + 3) << 3 | first], b"", 0)
+    grow(1, first, opening, b"", 0)
     return hist
 
 

@@ -215,70 +215,6 @@ def value_set_members(family_id: str, limit: int) -> set:
     return out
 
 
-# --- pattern certificate for low-lying arcs ---
-
-class LowLyingCheck(namedtuple("LowLyingCheck",
-                               "is_low_lying extrapolated reason")):
-    """Outcome of the forbidden-pattern test.
-
-    ``is_low_lying`` reports that no forbidden pattern occurs, so the
-    arc is certified k-low-lying.  ``extrapolated`` marks judgments
-    resting on patterns beyond the proven k = 4 catalog: mixed-case
-    family alternations, or any window bound with k != 4.
-    """
-
-    __slots__ = ()
-
-    def __bool__(self) -> bool:
-        return self.is_low_lying
-
-
-def _equal_run(xs, k):
-    run = 1
-    for i in range(1, len(xs)):
-        run = run + 1 if xs[i] == xs[i - 1] else 1
-        if run == k:
-            return i - k + 1
-    return None
-
-
-def _family_alternation(xs, span, uniform_case):
-    for lo in range(len(xs) - span + 1):
-        window = xs[lo:lo + span]
-        if any(window[i] >> 1 == window[i + 1] >> 1 for i in range(span - 1)):
-            continue
-        if uniform_case and len({c & 1 for c in window}) > 1:
-            continue
-        return lo
-    return None
-
-
-def pattern_low_lying(w: ArcWord, k: int = 4) -> LowLyingCheck:
-    """Certify an arc as k-low-lying by the absence of two patterns.
-
-    The forbidden patterns are a run of k equal crossings and a window
-    of 2k crossings alternating between the two cutting arcs.  For
-    k = 4 the alternation pattern is established for windows of
-    uniform case; a mixed-case alternation, or any other k, yields an
-    extrapolated judgment.
-    """
-    if k < 2:
-        raise ValueError("the window bound k must be at least 2")
-    xs = w.letters
-    run_at = _equal_run(xs, k)
-    alt_literal = _family_alternation(xs, 2 * k, True)
-    alt_any = _family_alternation(xs, 2 * k, False)
-    if run_at is not None:
-        reason = f"{k} equal crossings starting at position {run_at}"
-        return LowLyingCheck(False, k != 4, reason)
-    if alt_any is not None:
-        reason = (f"{2 * k} crossings alternating between the cutting arcs "
-                  f"starting at position {alt_any}")
-        literal = k == 4 and alt_literal is not None
-        return LowLyingCheck(False, not literal, reason)
-    return LowLyingCheck(True, k != 4, "")
-
-
 def load_reference_words(path=None) -> list:
     """The packaged (word, expected i) fixtures, or the file at path."""
     out = []

@@ -1,4 +1,5 @@
 import multiprocessing
+import re
 from collections import Counter
 from itertools import product
 
@@ -143,6 +144,16 @@ def test_tasks_match_the_word_engine():
             by_task[w.start, w.letters[0]][self_intersection(w)] += 1
         for task, hist in by_task.items():
             assert _census_task(wl, *task) == hist, (wl, task)
+
+
+def test_count_tree_refuses_a_task_with_no_word():
+    # too short for a first crossing, an endpoint clash (1a), and codes
+    # out of range, which would otherwise read as other symbols
+    for task in ((2, 1, 3), (1, 1, 3), (3, 1, 0), (4, 1, 5), (4, 0, 1),
+                 (4, 4, 1)):
+        with pytest.raises(ValueError,
+                           match=rf"^census task {re.escape(str(task))} has no word: "):
+            _count_tree(*task)
 
 
 def test_census_rejects_nonpositive_jobs():

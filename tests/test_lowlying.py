@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 from math import isqrt
 
 import pytest
@@ -14,11 +15,12 @@ from pantsarc.lowlying import (
     family_quotients,
     family_word,
     load_reference_words,
-    pattern_low_lying,
     value_set_members,
     witness,
 )
 from pantsarc.words import parse_word
+
+import oracle_modular
 
 
 def test_ladder_families_close_forms():
@@ -72,6 +74,44 @@ def test_quotients_are_low():
         qs = family_quotients(fam_id, 2) if fam_id != "C7" else family_quotients("C7")
         assert max(qs) <= 2
     assert family_quotients("C2") == (2, 1, 1)
+
+
+def _end_cusp_quotients(word, conv):
+    """The quotients of Q/P = 1/(a1 + 1/(a2 + ...)), written to end in 1,
+    where the oracle's geodesic for ``word`` runs from the cusp 0 to the
+    cusp P/Q; they are the continued fraction a1 + 1/(a2 + ...) of P/Q."""
+    start, (p, q) = oracle_modular.endpoints(word, conv)
+    assert start == (0, 1) and p > 0, (word, start, p, q)
+    out = []
+    while q:
+        out.append(p // q)
+        p, q = q, p % q
+    if out[-1] > 1:
+        out[-1] -= 1
+        out.append(1)
+    return tuple(out)
+
+
+def test_family_quotients_match_the_oracle_slope():
+    # the lambdas are written by hand; the oracle reads the slope off the
+    # word's geodesic, independently of the library
+    conv = oracle_modular.fitting_conventions()[0]
+    checked = 0
+    for fam_id, fam in FAMILIES.items():
+        if fam.quotients is None:
+            continue
+        if fam.fixed:
+            cases = [(0, None)]
+        elif fam.needs_m:
+            cases = product(range(11), range(1, 11))
+        else:
+            cases = [(n, None) for n in range(11)]
+        for n, m in cases:
+            word = str(family_word(fam_id, n, m))
+            assert (_end_cusp_quotients(word, conv)
+                    == family_quotients(fam_id, n, m)), word
+            checked += 1
+    assert checked == 2 * 11 * 10 + 3 * 11 + 2
 
 
 def test_family_argument_errors():
@@ -149,32 +189,6 @@ def test_z_value_sets_partition_the_naturals():
 def test_witness_hits_any_target(target):
     family, n, m = decompose(target)
     assert family_intersections(family, n, m) == target
-
-
-def test_pattern_examples():
-    ok = pattern_low_lying(parse_word("1BABA2"), 4)
-    assert ok.is_low_lying and not ok.extrapolated
-
-    run = pattern_low_lying(parse_word("3aaaab3"), 4)
-    assert not run.is_low_lying and not run.extrapolated
-
-    mixed = pattern_low_lying(parse_word("1bAbAbAbA3"), 4)
-    assert not mixed.is_low_lying and mixed.extrapolated
-
-    uniform = pattern_low_lying(parse_word("3abababab3"), 4)
-    assert not uniform.is_low_lying and not uniform.extrapolated
-
-
-def test_pattern_window_bound():
-    with pytest.raises(ValueError):
-        pattern_low_lying(parse_word("1BABA2"), 1)
-    other_k = pattern_low_lying(parse_word("1BABA2"), 3)
-    assert other_k.extrapolated
-
-
-def test_pattern_is_truthy():
-    assert pattern_low_lying(parse_word("1BABA2"))
-    assert not pattern_low_lying(parse_word("3aaaab3"))
 
 
 def test_reference_words_reproduce():

@@ -4,8 +4,8 @@ import pytest
 
 from pantsarc.census import CensusReport, census
 from pantsarc.intersect import Chain, Trace, resolve_chain, trace
-from pantsarc.lowlying import (FAMILIES, Decomposition, Family, LowLyingCheck,
-                                WitnessArc, decompose, pattern_low_lying, witness)
+from pantsarc.lowlying import (FAMILIES, Decomposition, Family, WitnessArc,
+                                decompose, witness)
 from pantsarc.planar import Segment, segments
 from pantsarc.words import ArcWord, SeamCounts, parse_word, seam_counts
 
@@ -37,9 +37,6 @@ RECORDS = {
                  "quotients=(2, 2, 2, 2, 1, 1))"),
     Decomposition: (lambda: decompose(10),
                     "Decomposition(family='Z4', n=2, m=None)"),
-    LowLyingCheck: (lambda: pattern_low_lying(parse_word(W)),
-                    "LowLyingCheck(is_low_lying=True, extrapolated=False, "
-                    "reason='')"),
 }
 
 
