@@ -47,8 +47,6 @@ from .lowlying import family_intersections, family_word
 from .planar import _SUCCESSORS
 from .words import ArcWord, _data_lines
 
-# every arc with no self-crossing at all, up to free homotopy
-SIMPLE_WORDS = ("12", "13", "21", "23", "31", "32", "33", "1b1", "1B1", "2a2", "2A2")
 
 class BudgetExceeded(RuntimeError):
     """A census was requested beyond the supported size without opting in."""

@@ -181,22 +181,17 @@ def _rows(s, later):
 
 
 @functools.cache
-def _kernel_tables():
-    """The rows of ``_count`` and ``_count_tree``, one per segment shape,
-    built on first use."""
-    return tuple([_rows(s, True) for s in range(64)])
-
-
-@functools.cache
-def _trace_tables():
-    """The rows of ``trace``, one per segment shape, built on first use."""
-    return tuple([_rows(s, False) for s in range(64)])
+def _tables(later):
+    """The rows of every segment shape, built on first use: over earlier
+    partners for ``_count`` and ``_count_tree`` when ``later``, else
+    over later partners for ``trace``."""
+    return tuple([_rows(s, later) for s in range(64)])
 
 
 def _count(sc):
     """Self-intersection count from the segment shapes of a reduced word."""
     T = len(sc)
-    rows = _kernel_tables()
+    rows = _tables(True)
     from_bytes = int.from_bytes
     # a step's prices sit in bit 0 of each byte of y, its kept verdicts
     # in bit 6
@@ -226,7 +221,7 @@ def _count_tree(word_length, start, first):
         raise ValueError(f"census task ({word_length}, {start}, {first}) has no "
                          "word: it needs a length of 3 or more, a boundary "
                          "digit 1-3 and a letter code 0-3 that may follow it")
-    rows = _kernel_tables()
+    rows = _tables(True)
     L = word_length - 2
     from_bytes = int.from_bytes
     kept = from_bytes(b"\x40" * L, "little")
@@ -390,7 +385,7 @@ def trace(w: ArcWord) -> Trace:
     """
     sc = _shapes(w)
     T = len(sc)
-    table = _trace_tables()
+    table = _tables(False)
     from_bytes = int.from_bytes
     # row p holds segments p + 1 to T - 1, one byte each, read as a
     # little-endian integer: the shapes are the word's shapes read

@@ -122,7 +122,7 @@ def family_quotients(family_id: str, n: int = 0, m: int | None = None) -> tuple:
     return fam.quotients(n, m)
 
 
-def continued_fraction_value(quotients) -> Fraction:
+def continued_fraction_value(quotients):
     """Value of the continued fraction 1/(a1 + 1/(a2 + ... + 1/ak))."""
     qs = tuple(quotients)
     if not qs or any(a < 1 for a in qs):
@@ -189,30 +189,31 @@ def witness(target: int) -> WitnessArc:
 
 # --- value sets of the Z families ---
 
-def value_set_members(family_id: str, limit: int) -> set:
-    """All values of the family up to ``limit``, from the parameterization.
+def value_set_members(family_id: str, limit: int):
+    """Every value of the family up to ``limit``, from the
+    parameterization, as a generator; a value may come more than once.
 
     Enumerates the closed form over its parameter grid, independent of
-    the shifted squares of ``decompose``.
+    the shifted squares of ``decompose``.  An unknown family raises
+    UnsupportedFamily at the call, before any value is asked for.
     """
     if family_id not in _COVER_FAMILIES:
         raise UnsupportedFamily(f"no value-set rule for family {family_id!r}")
     fam = FAMILIES[family_id]
-    out = set()
-    n = 0
-    while True:
-        first = fam.value(n, 1 if fam.needs_m else None)
-        if first > limit:
-            break
-        if fam.needs_m:
-            m = 1
-            while (v := fam.value(n, m)) <= limit:
-                out.add(v)
-                m += 1
-        else:
-            out.add(first)
-        n += 1
-    return out
+
+    def members():
+        n = 0
+        while (first := fam.value(n, 1 if fam.needs_m else None)) <= limit:
+            if fam.needs_m:
+                m = 1
+                while (v := fam.value(n, m)) <= limit:
+                    yield v
+                    m += 1
+            else:
+                yield first
+            n += 1
+
+    return members()
 
 
 def load_reference_words(path=None) -> list:

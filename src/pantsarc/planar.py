@@ -125,14 +125,14 @@ def _shapes(w: ArcWord):
     """The shape fr << 3 | to of each segment of ``w``, as bytes.
 
     Raises ValueError, naming the word by its repr, for a boundary digit
-    outside 1-3, a letter code outside 0-3 or letters that are not a
-    sequence, such as a bare int.  Raises AlignmentOverrun
+    that is not 1, 2 or 3, a letter code outside 0-3 or letters that are
+    not a sequence, such as a bare int.  Raises AlignmentOverrun
     for a hand-built word the grammar refuses, with the word and then
     the message ``parse_word`` gives.
     """
-    if not (0 < w.start < 4 and 0 < w.end < 4):
-        raise _code_error(w)
     try:
+        if not (0 < w.start < 4 and 0 < w.end < 4):
+            raise ValueError
         # len() first: bytes() would read a bare int n as n zero bytes
         L = len(w.letters)
         letters = bytes(w.letters).translate(_LETTER_SYMBOLS)
@@ -141,8 +141,9 @@ def _shapes(w: ArcWord):
         sc = ((w.start + 3 << 8 * L | mid) << 3 | mid << 8 | w.end + 3).to_bytes(
             L + 1, "big").translate(_PAIR_SHAPES)
     except (TypeError, ValueError):
-        # letters that are no sequence, a code that is not an int, or a
-        # letter code that is not a byte
+        # a boundary digit that is not 1, 2 or 3, letters that are no
+        # sequence, a code that is not an int, or a letter code that is
+        # not a byte
         raise _code_error(w) from None
     if 0 in sc:
         if 7 in letters:

@@ -8,7 +8,6 @@ import pytest
 from pantsarc.census import (
     BudgetExceeded,
     CENSUS_SIZE_LIMIT,
-    SIMPLE_WORDS,
     _POOL_MIN_WORDS,
     _census_task,
     _first_letter_tasks,
@@ -79,7 +78,9 @@ def test_bare_words_enumerated():
 
 
 def test_simple_words_are_valid_and_simple():
-    for text in SIMPLE_WORDS:
+    # every arc with no self-crossing at all, up to free homotopy
+    for text in ("12", "13", "21", "23", "31", "32", "33",
+                 "1b1", "1B1", "2a2", "2A2"):
         assert self_intersection(parse_word(text)) == 0
 
 

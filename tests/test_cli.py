@@ -333,6 +333,27 @@ def test_cover(capsys):
     assert all(payload["identities"].values())
 
 
+def test_cover_keeps_no_value_set():
+    # the family values go into one byte per value as they are made, so
+    # the command holds that table and not a set of every value
+    tracemalloc.start()
+    try:
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            assert main(["cover", "--max", "100000"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
+@pytest.mark.extended
+def test_cover_at_ten_million(capsys):
+    code, out, err = run(capsys, "cover", "--max", str(10**7))
+    assert code == 0 and err == ""
+    assert out == ('{"max":10000000,"gaps":[],"identities":{"Z1":true,'
+                   '"Z2":true,"Z3":true,"Z4":true,"Z5":true},"pass":true}\n')
+
+
 def test_tables(capsys):
     code, out, _ = run(capsys, "tables", "--verify")
     payload = json.loads(out)
@@ -488,7 +509,7 @@ def test_cover_reports_a_missing_value(capsys, monkeypatch):
     members = cli.value_set_members
 
     def short(family, limit):
-        values = members(family, limit)
+        values = set(members(family, limit))
         return values - {max(values)}
 
     monkeypatch.setattr(cli, "value_set_members", short)

@@ -10,8 +10,8 @@ from pantsarc.census import count_words, enumerate_words, length_bounds
 from pantsarc.intersect import (
     AlignmentOverrun,
     Chain,
-    _kernel_tables,
     _strand_side,
+    _tables,
     resolve_chain,
     self_intersection,
     trace,
@@ -238,7 +238,7 @@ def test_kernel_rows_price_or_hand_on():
     # row holds a price of 0 or 1 or hands a verdict on in bit 6 or 7,
     # never both: entries in {0, 1, 0x40, 0x80} are what make the
     # count's popcount under & ones and its one hand-on mask exact
-    rows = _kernel_tables()
+    rows = _tables(True)
     assert len(rows) == 64
     for row in rows:
         assert len(row) == 256
@@ -342,13 +342,16 @@ def test_non_reduced_words_are_rejected():
 
 
 def test_out_of_range_codes_are_rejected():
-    # hand-built words with a boundary digit outside 1-3, a letter code
-    # outside 0-3 or letters that are no sequence (bytes(3) would read
-    # as three a's): every reader of the segments refuses them, naming
-    # the word by its repr, since str() of such a word can itself fail
+    # hand-built words with a boundary digit that is not 1, 2 or 3, a
+    # letter code outside 0-3 or letters that are no sequence (bytes(3)
+    # would read as three a's): every reader of the segments refuses
+    # them, naming the word by its repr, since str() of such a word can
+    # itself fail
     for w in (ArcWord(0, (), 2), ArcWord(1, (0,), 4), ArcWord(1, (5,), 2),
               ArcWord(3, (0, 4, 0), 3), ArcWord(1, (300,), 2),
-              ArcWord(1, (-1,), 2), ArcWord(1.5, (0,), 2), ArcWord(2, 3, 2)):
+              ArcWord(1, (-1,), 2), ArcWord(1.5, (0,), 2), ArcWord(2, 3, 2),
+              ArcWord("1", (), 2), ArcWord(None, (), 2),
+              ArcWord(1, (2,), "3")):
         for call in (self_intersection, trace,
                      lambda w: resolve_chain(w, 1, 2), segments,
                      lambda w: endpoint_items(w.start, w.letters, w.end)):

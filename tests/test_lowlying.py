@@ -169,7 +169,8 @@ Z_FAMILIES = ("Z1", "Z2", "Z3", "Z4", "Z5")
 def test_z_value_sets_partition_the_naturals():
     # judged from the parameterization alone, then held against decompose
     limit = 10 ** 4
-    members = {fam_id: value_set_members(fam_id, limit) for fam_id in Z_FAMILIES}
+    members = {fam_id: set(value_set_members(fam_id, limit))
+               for fam_id in Z_FAMILIES}
     for value in range(limit + 1):
         holders = [fam_id for fam_id in Z_FAMILIES if value in members[fam_id]]
         if value in (2, 7):

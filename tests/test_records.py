@@ -1,7 +1,9 @@
 import re
+import typing
 
 import pytest
 
+import pantsarc
 from pantsarc.census import CensusReport, census
 from pantsarc.intersect import Chain, Trace, resolve_chain, trace
 from pantsarc.lowlying import (FAMILIES, Decomposition, Family, WitnessArc,
@@ -87,3 +89,12 @@ def test_trace_cells_are_built_once():
     assert t.cells == t.cells
     assert list(t.cells) == [(i, j) for i in range(1, 6) for j in range(i + 1, 6)]
     assert t.cells[3, 5] == "1"
+
+
+def test_public_type_hints_resolve():
+    # an annotation naming what its module imports only at call time
+    # cannot be resolved
+    for name in pantsarc.__all__:
+        obj = getattr(pantsarc, name)
+        if callable(obj):
+            typing.get_type_hints(obj)
