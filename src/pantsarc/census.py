@@ -54,6 +54,8 @@ class BudgetExceeded(RuntimeError):
 
 def _crossings(word_length):
     """The crossing count L = word_length - 2 of a word of that length."""
+    if not isinstance(word_length, int):
+        raise ValueError(f"a word length is an integer, got {word_length!r}")
     if word_length < 2:
         raise ValueError("a word has at least two symbols")
     return word_length - 2

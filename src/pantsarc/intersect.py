@@ -69,10 +69,13 @@ AlignmentOverrun, so the count, ``trace``, ``resolve_chain`` and the
 planar model's ``segments`` and ``endpoint_items`` all refuse it before
 they look at any pair; the tree grows valid words only, from
 ``planar._SUCCESSORS``, and ``_count_tree`` refuses a task with none.
-The strands of a reduced word never collide: that needs to[P] == fr[Q]
-with Q - P <= 2, but a segment starts on the far side of the cutting
-arc its predecessor ends on, and Q - P == 2 needs a letter followed by
-its inverse.
+The strands of a reduced word never collide, which needs to[P] ==
+fr[Q] with Q - P <= 2, and only a first segment starts and only a last
+one ends on a boundary stretch, so only the free chain through
+(0, T - 1) runs on at a word end.
+``tests/test_planar.py::test_pair_shapes_keep_chains_in_range`` checks
+these facts on every symbol pair and window ``_PAIR_SHAPES`` allows,
+so ``_walk_chain`` needs no guard.
 
 ``trace`` keeps the whole pair grid as one string of cells, row by
 row, and puts a chain's digit at its forward-most member.  It steps
@@ -87,7 +90,7 @@ translate writes the cells as the ASCII bytes 0, 1 and X.  At most one
 chain merges into a boundary stretch at both word ends: the chain
 through (0, T - 1), when the first segment is the last one reversed.
 Its rear verdict means nothing, so after the pass ``trace`` finds its
-terminal member with ``_walk_chain`` and sets that cell to 0.
+front member with ``_walk_chain`` and sets that cell to 0.
 """
 
 from __future__ import annotations
@@ -97,7 +100,7 @@ import itertools
 from collections import Counter, namedtuple
 
 from .planar import (_FROM, _LABELS, _PAIR_SHAPES, _SUCCESSORS, _TO, DECISIONS,
-                     AlignmentOverrun, _shapes)
+                     _shapes)
 from .words import ArcWord
 
 
@@ -254,61 +257,44 @@ class Chain(namedtuple("Chain", "members parallel free_end decision")):
 
     __slots__ = ()
 
-    @property
-    def terminal(self):
-        """The forward-most member, which carries the chain's digit."""
-        return self.members[-1]
-
 
 def _walk_chain(sc, p0, q0):
     """Members and verdict of the chain through the undecidable (p0, q0)
-    of a word with segment shapes ``sc``."""
+    of a word with segment shapes ``sc`` from ``planar._shapes``, which
+    accepts only words ``parse_word`` accepts.
+
+    The partner strand q steps by dq, +1 on a parallel chain and -1 on
+    an antiparallel one, and is read through ``back`` at the rear end
+    and ``ahead`` at the front end.  On such a word only the free chain
+    through (0, T - 1) runs on at p == 0, and no chain runs past the
+    last segment or collides with itself (see the module docstring), so
+    the walk needs no guard but ``p and``.
+    """
     fr, to = sc.translate(_FROM), sc.translate(_TO)
-    T = len(sc)
     parallel = to[p0] == to[q0] or fr[p0] == fr[q0]
-    free = False
+    back, ahead, dq = (fr, to, 1) if parallel else (to, fr, -1)
     p, q = p0, q0
-    if parallel:
-        while fr[p] == fr[q]:
-            if p == 0:
-                raise AlignmentOverrun("parallel chain ran past the first segment")
-            p -= 1
-            q -= 1
-    else:
-        while fr[p] == to[q]:
-            if p == 0:
-                # same boundary stretch at both word ends: a free end
-                assert q == T - 1
-                free = True
-                break
-            p -= 1
-            q += 1
+    while p and fr[p] == back[q]:
+        p -= 1
+        q -= dq
     bp, bq = p, q
+    # same boundary stretch at both word ends: a free end
+    free = fr[p] == back[q]
     p, q = p0, q0
-    if parallel:
-        while to[p] == to[q]:
-            if q == T - 1:
-                raise AlignmentOverrun("parallel chain ran past the last segment")
-            p += 1
-            q += 1
-    else:
-        while to[p] == fr[q]:
-            if q - p < 3:
-                raise AlignmentOverrun("antiparallel strands collided")
-            p += 1
-            q -= 1
-    fp, fq = p, q
-    dq = 1 if parallel else -1
+    while to[p] == ahead[q]:
+        p += 1
+        q += dq
+    # (p, q) is the front member now
     # tuples are built from lists, not generators: tuple() resizes a
     # tuple grown from a generator, and the resized tuples pile up in
     # CPython's per-size tuple free lists, so a process that traces
     # many words grows by megabytes
-    members = tuple([(bp + k, bq + k * dq) for k in range(fp - bp + 1)])
+    members = tuple([(bp + k, bq + k * dq) for k in range(p - bp + 1)])
     if free:
         decision = 0
     else:
-        rear = _strand_side(to[bp], True, fr[bp], fr[bq] if parallel else to[bq])
-        front = _strand_side(fr[fp], False, to[fp], to[fq] if parallel else fr[fq])
+        rear = _strand_side(to[bp], True, fr[bp], back[bq])
+        front = _strand_side(fr[p], False, to[p], ahead[q])
         decision = int(rear != front)
     return members, parallel, free, decision
 

@@ -89,6 +89,8 @@ def _checked(family_id: str, n: int, m) -> Family:
         fam = FAMILIES[family_id]
     except KeyError:
         raise UnsupportedFamily(f"unknown family {family_id!r}") from None
+    if not isinstance(n, int) or not isinstance(m, (int, type(None))):
+        raise ValueError(f"family parameters are integers, got n={n!r}, m={m!r}")
     if fam.fixed:
         if n != 0 or m is not None:
             raise ValueError(f"family {family_id} has no parameters")

@@ -71,8 +71,8 @@ class Classification(enum.Enum):
 
 
 class AlignmentOverrun(RuntimeError):
-    """A hand-built word that ``parse_word`` refuses: a segment retracts,
-    and a chain can leave the segment range or collide with itself."""
+    """A hand-built word that ``parse_word`` refuses, because one of its
+    segments retracts; ``_shapes`` raises it before any pair is read."""
 
 
 def _pair_shape(x, y):

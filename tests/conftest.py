@@ -18,7 +18,9 @@ def pytest_terminal_summary(terminalreporter):
 
 def pytest_addoption(parser):
     parser.addoption("--extended", action="store_true",
-                     help="also run the long census checks (word lengths 13-16)")
+                     help="also run the long checks: census at word lengths "
+                          "13-16, positivize through length 12 and cover "
+                          "through 10^7")
 
 
 def pytest_configure(config):

@@ -22,9 +22,12 @@ from pantsarc.census import (
 from pantsarc.intersect import _count_tree, self_intersection
 from pantsarc.words import LETTER_CHARS, WordError, parse_word
 
-# every function of a word length refuses the same lengths with one message
-SHORT_LENGTHS = (1, 0, -1)
+# every function of a word length refuses the same lengths, each with
+# the one message for it
 TOO_SHORT = "^a word has at least two symbols$"
+REFUSED_LENGTHS = {1: TOO_SHORT, 0: TOO_SHORT, -1: TOO_SHORT,
+                   4.5: r"^a word length is an integer, got 4\.5$",
+                   4.0: r"^a word length is an integer, got 4\.0$"}
 
 # the (start, first crossing) tasks, grouped into their orbits under
 # relabelling (1 <-> 2, a <-> b) and mirroring (a <-> A, b <-> B)
@@ -35,17 +38,17 @@ TASK_ORBITS = tuple(
 
 def test_count_formula():
     assert [count_words(wl) for wl in range(2, 8)] == [7, 16, 48, 144, 432, 1296]
-    for wl in SHORT_LENGTHS:
-        with pytest.raises(ValueError, match=TOO_SHORT):
+    for wl, message in REFUSED_LENGTHS.items():
+        with pytest.raises(ValueError, match=message):
             count_words(wl)
 
 
 def test_count_matches_enumeration():
     for wl in range(2, 8):
         assert len(list(enumerate_words(wl))) == count_words(wl)
-    for wl in SHORT_LENGTHS:
+    for wl, message in REFUSED_LENGTHS.items():
         words = enumerate_words(wl)
-        with pytest.raises(ValueError, match=TOO_SHORT):
+        with pytest.raises(ValueError, match=message):
             next(words)
 
 
@@ -168,8 +171,8 @@ def test_census_budget_guard():
     with pytest.raises(BudgetExceeded, match="word length 16 cover "
                        "76,527,504 words or more"):
         census(17)
-    for wl in SHORT_LENGTHS:
-        with pytest.raises(ValueError, match=TOO_SHORT):
+    for wl, message in REFUSED_LENGTHS.items():
+        with pytest.raises(ValueError, match=message):
             census(wl)
 
 
@@ -185,8 +188,8 @@ def test_length_bounds_frame_the_census(census_by_length):
         assert lo <= report.min_i <= report.max_i <= hi
         if wl % 2 == 1:  # odd crossing count: the floor is attained
             assert report.min_i == lo
-    for wl in SHORT_LENGTHS:
-        with pytest.raises(ValueError, match=TOO_SHORT):
+    for wl, message in REFUSED_LENGTHS.items():
+        with pytest.raises(ValueError, match=message):
             length_bounds(wl)
 
 
@@ -202,6 +205,6 @@ def test_max_witness_words():
         assert w.word_length == wl
         assert self_intersection(w) == conjectured_max(wl)
     for call in (conjectured_max, max_witness):
-        for wl in SHORT_LENGTHS:
-            with pytest.raises(ValueError, match=TOO_SHORT):
+        for wl, message in REFUSED_LENGTHS.items():
+            with pytest.raises(ValueError, match=message):
                 call(wl)

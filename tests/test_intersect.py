@@ -8,7 +8,6 @@ from hypothesis import given
 
 from pantsarc.census import count_words, enumerate_words, length_bounds
 from pantsarc.intersect import (
-    AlignmentOverrun,
     Chain,
     _strand_side,
     _tables,
@@ -17,7 +16,7 @@ from pantsarc.intersect import (
     trace,
 )
 from pantsarc.lowlying import witness
-from pantsarc.planar import endpoint_items, segments
+from pantsarc.planar import AlignmentOverrun, endpoint_items, segments
 from pantsarc.words import (
     ArcWord, WordError, inverse, is_positive, parse_word, positivize, relabel,
     seam_counts)
@@ -63,7 +62,7 @@ def test_resolve_chain_of_the_worked_example():
     c = resolve_chain(w, 1, 3)
     assert c.members == ((1, 3), (2, 4), (3, 5))
     assert c.decision == 1 and c.parallel and not c.free_end
-    assert c.terminal == (3, 5)
+    assert c.members[-1] == (3, 5)
     assert resolve_chain(w, 1, 5) == Chain(((1, 5),), False, False, 1)
     assert resolve_chain(w, 1, 2) == Chain(((1, 2),), False, False, 0)
     with pytest.raises(ValueError):
@@ -108,9 +107,9 @@ def test_chain_terminal_carries_the_digit(w):
     for (i, j), cell in t.cells.items():
         chain = resolve_chain(w, i, j)
         if cell == "X":
-            assert (i, j) != chain.terminal
+            assert (i, j) != chain.members[-1]
         else:
-            assert (i, j) == chain.terminal
+            assert (i, j) == chain.members[-1]
             assert cell == str(chain.decision)
 
 
@@ -284,7 +283,7 @@ def test_trace_cells_follow_the_chain_walks():
             assert sum(len(chain.members) for chain in chains) == len(cells)
             for chain in chains:
                 for pair in chain.members:
-                    want = str(chain.decision) if pair == chain.terminal else "X"
+                    want = str(chain.decision) if pair == chain.members[-1] else "X"
                     assert cells[pair] == want, (str(w), pair)
 
 

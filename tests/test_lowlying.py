@@ -125,6 +125,10 @@ def test_family_argument_errors():
         family_word("Z4", -1)
     with pytest.raises(ValueError):
         family_word("C2", 1)
+    with pytest.raises(ValueError, match="integers, got n=2.5"):
+        family_intersections("F1", 2.5)
+    with pytest.raises(ValueError, match="integers, got n=1, m=1.5"):
+        family_intersections("Z1", 1, 1.5)
     with pytest.raises(UnsupportedFamily):
         family_quotients("F1", 1)
     with pytest.raises(UnsupportedFamily, match="no value-set rule"):

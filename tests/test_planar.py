@@ -85,6 +85,26 @@ def test_pair_shapes_match_the_reference_loop():
     assert _PAIR_SHAPES == want
 
 
+def test_pair_shapes_keep_chains_in_range():
+    # the facts intersect._walk_chain rests on: only a first segment
+    # starts and only a last one ends on a boundary stretch, an odd
+    # item, and no window of symbols gives to[P] == fr[Q] with Q - P of
+    # 1 or 2, where the strands of an antiparallel chain would collide;
+    # the inner symbols of a window are letters
+    shapes = {(x, y): _PAIR_SHAPES[x << 3 | y]
+              for x, y in itertools.product(range(7), repeat=2)
+              if _PAIR_SHAPES[x << 3 | y]}
+    for (x, y), s in shapes.items():
+        assert (s >> 3) % 2 == (x > 3) and s % 2 == (y > 3), (x, y)
+    for n, count in ((3, 100), (4, 300)):
+        windows = [ws for ws in itertools.product(range(7), repeat=n)
+                   if all(c < 4 for c in ws[1:-1])
+                   and all(pair in shapes for pair in zip(ws, ws[1:]))]
+        assert len(windows) == count
+        for ws in windows:
+            assert shapes[ws[:2]] & 7 != shapes[ws[-2:]] >> 3, ws
+
+
 def test_endpoint_items_match_the_reference_loop():
     # every word through length 10, bare words included
     for wl in range(2, 11):
