@@ -29,7 +29,7 @@ index is largest, because that member is reached last: the
 forward-most member of a parallel chain, the rearmost member of an
 antiparallel one.  A chain that merges into a boundary stretch is
 never charged, which is also its correct price.  Two loops step the
-same rows with the same step: ``_count`` walks one path, a word, and
+same rows with the same step: ``_extend`` walks one path, a word, and
 ``_count_tree`` walks every path of the census's search tree.  Each
 sees the earlier segments p of its newest segment s as *residual
 bytes*: p's 6-bit shape fr << 3 | to plus, in bit 6, the verdict at
@@ -46,9 +46,24 @@ step reads the result as one integer y, and the residual seen from
 s + 1 is the shapes of segments 0 to s and one mask ``kept`` of bit 6
 in every byte over y | y << 15: bit 6 stays in its byte, bit 7 lands
 on bit 6 two bytes up, and bits 0 and 6 land on bits 7 and 5, outside
-the mask.  ``_count`` steps a word of T segments in T steps of T
-bytes, all in C.  Each loop writes the step out: through one shared
-function it cost ``_count`` about 9% on words of 4-40 symbols.
+the mask.  A word of T segments takes T - 1 steps of at most T
+bytes, all in C.
+
+The step that prices every pair (p, s) is column s.  The state after
+it is the pair (y, total): y read off its translate, which hands the
+verdicts on, and the prices summed so far; the shapes come from the
+word.  ``_extend(sc, k, y, total)`` steps columns k to T - 1 from the
+state left after column k - 1, so a word is priced from its prefix's
+state.  The state after column H - 1 depends on the first H shapes
+alone, and a word of more than H = 6 segments opens with one of 1,944
+heads: 8 opening segments, one per census task, each followed by 3^5
+letter paths.  ``_heads(opening)`` maps every head under one opening
+to its state, built on first use by walking ``planar._SUCCESSORS``
+depth-first with one ``_extend`` per extension.  ``_count`` is
+``_extend`` from the empty state on a word of at most H segments, and
+from its head's looked-up state on a longer one, H - 1 steps fewer.
+``_count_tree`` writes the step out inline instead: it steps each
+node's residual once for all of its children.
 
 The children of a search-tree node share their newest segment s's
 start fr[s] and every earlier segment; only to[s] differs between
@@ -191,8 +206,11 @@ def _tables(later):
     return tuple([_rows(s, later) for s in range(64)])
 
 
-def _count(sc):
-    """Self-intersection count from the segment shapes of a reduced word."""
+def _extend(sc, k, y, total):
+    """Step columns k to T - 1 of the segment shapes ``sc`` of a reduced
+    word from the state (y, total) left after column k - 1, and return
+    the state after column T - 1; the empty state, after column 0, is
+    (0, 0) at k = 1."""
     T = len(sc)
     rows = _tables(True)
     from_bytes = int.from_bytes
@@ -200,18 +218,60 @@ def _count(sc):
     # in bit 6
     ones = from_bytes(b"\x01" * T, "little")
     kept = ones << 6
-    # the shapes seen from segment k are the top k bytes of the word's
+    # the shapes seen from segment s are the top s bytes of the word's
     # shapes read big-endian
     shapes = from_bytes(sc, "big")
-    shift = 8 * T
-    # the residual seen from segment 0 is empty
-    y = total = 0
-    for k in range(1, T):
+    shift = 8 * (T - k + 1)
+    for s in range(k, T):
         shift -= 8
-        residual = (shapes >> shift | (y | y << 15) & kept).to_bytes(k, "little")
-        y = from_bytes(residual.translate(rows[sc[k]]), "little")
+        residual = (shapes >> shift | (y | y << 15) & kept).to_bytes(s, "little")
+        y = from_bytes(residual.translate(rows[sc[s]]), "little")
         total += (y & ones).bit_count()
-    return total
+    return y, total
+
+
+# the state after a word's first H segments depends on those shapes
+# alone, and a word longer than H segments opens with one of 8 opening
+# segments and 3^5 letter paths: 1,944 heads in all, 244 KB of tables,
+# each opening's built in about 0.4 ms; H = 7 would triple the build
+# time and hold 0.9 MB, for one step fewer per word
+H = 6
+
+# the first letter of each opening segment shape, one per census task
+_OPENING_LETTERS = {cs: c for start in range(4, 7)
+                    for c, cs in _SUCCESSORS[start][0]}
+
+
+@functools.cache
+def _heads(opening):
+    """The state after column H - 1 of every head of H segments that
+    starts with the opening segment shape ``opening``, keyed by the
+    head's shapes; built on first use, depth-first over
+    ``planar._SUCCESSORS``, one column per extension."""
+    heads = {}
+
+    def grow(head, prev, y, total):
+        if len(head) == H:
+            heads[head] = y, total
+            return
+        for c, cs in _SUCCESSORS[prev][0]:
+            sc = head + bytes((cs,))
+            grow(sc, c, *_extend(sc, len(head), y, total))
+
+    grow(bytes((opening,)), _OPENING_LETTERS[opening], 0, 0)
+    # the table is made of fresh copies: the walk's own objects sit
+    # among the holes its temporaries left, and kept as the table they
+    # slowed every later count and trace by about 5%
+    return {bytes(bytearray(head)): (y + 0, total)
+            for head, (y, total) in heads.items()}
+
+
+def _count(sc):
+    """Self-intersection count from the segment shapes of a reduced word."""
+    if len(sc) <= H:
+        return _extend(sc, 1, 0, 0)[1]
+    y, total = _heads(sc[0])[sc[:H]]
+    return _extend(sc, H, y, total)[1]
 
 
 def _count_tree(word_length, start, first):

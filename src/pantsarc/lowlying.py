@@ -155,6 +155,8 @@ def decompose(target: int) -> Decomposition:
     family and parameters off the offset i0, the exact inverse of their
     closed forms; 2 and 7 lie in no Z value set and need words of their own.
     """
+    if not isinstance(target, int):
+        raise ValueError(f"a self-intersection number is an integer, got {target!r}")
     if target < 0:
         raise ValueError("a self-intersection number is nonnegative")
     if target in _SPORADIC_VALUES:

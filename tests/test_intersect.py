@@ -1,14 +1,24 @@
 import itertools
 import multiprocessing
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 
+import pantsarc
 from pantsarc.census import count_words, enumerate_words, length_bounds
 from pantsarc.intersect import (
     Chain,
+    H,
+    _OPENING_LETTERS,
+    _count,
+    _extend,
+    _heads,
     _strand_side,
     _tables,
     resolve_chain,
@@ -16,7 +26,7 @@ from pantsarc.intersect import (
     trace,
 )
 from pantsarc.lowlying import witness
-from pantsarc.planar import AlignmentOverrun, endpoint_items, segments
+from pantsarc.planar import AlignmentOverrun, _shapes, endpoint_items, segments
 from pantsarc.words import (
     ArcWord, WordError, inverse, is_positive, parse_word, positivize, relabel,
     seam_counts)
@@ -250,6 +260,9 @@ def test_count_holds_one_residual_at_a_time():
     # would hold about 4.5 MB
     word = witness(10**6).word
     T = len(word.letters) + 1
+    # the first call builds the kernel rows and the word's head table,
+    # fixed-size caches every later word shares
+    self_intersection(word)
     tracemalloc.start()
     try:
         n = self_intersection(word)
@@ -258,6 +271,74 @@ def test_count_holds_one_residual_at_a_time():
         tracemalloc.stop()
     assert T == 2997 and n == 10**6
     assert peak < 64 << 10, peak
+
+
+def _assert_resumes(w, splits):
+    """``_extend`` resumed after each prefix length in ``splits``, from
+    the state of that prefix stepped alone, ends in the state of one
+    pass from the empty state, and its total is the count."""
+    sc = _shapes(w)
+    whole = _extend(sc, 1, 0, 0)
+    for k in splits:
+        assert _extend(sc, k, *_extend(sc[:k], 1, 0, 0)) == whole, (str(w), k)
+    assert whole[1] == _count(sc), str(w)
+
+
+def test_extend_resumes_from_every_prefix():
+    # a word of length wl has wl - 1 segments: every split through
+    # length 8, and a few on long random words
+    for wl in range(2, 9):
+        for w in enumerate_words(wl):
+            _assert_resumes(w, range(1, wl))
+    rng = random.Random(28)
+    for _ in range(12):
+        w = random_word(rng, rng.randrange(9, 3001))
+        T = len(w.letters) + 1
+        _assert_resumes(w, (1, 2, H, H + 1, rng.randrange(1, T + 1), T))
+
+
+@pytest.mark.extended
+def test_extend_splits_through_length_11():
+    for wl in range(9, 12):
+        for w in enumerate_words(wl):
+            _assert_resumes(w, range(1, wl))
+
+
+def test_head_tables_hold_every_head():
+    # one table per opening segment, one entry per head of H segments
+    # that a longer word can open with, each the state of its head
+    # stepped from the empty state
+    heads = {_shapes(w)[:H] for w in enumerate_words(H + 2)}
+    assert len(_OPENING_LETTERS) == 8
+    tables = [_heads(opening) for opening in _OPENING_LETTERS]
+    assert sum(map(len, tables)) == len(heads) == 1944
+    for opening, table in zip(_OPENING_LETTERS, tables):
+        assert set(table) == {h for h in heads if h[0] == opening}
+        for head, state in table.items():
+            assert state == _extend(head, 1, 0, 0), head
+
+
+def test_short_words_build_no_head_table():
+    # the set-up probe, intersect 1BABA2, and every word of at most H
+    # segments are stepped from the empty state; the first longer word
+    # builds its opening's table alone
+    code = ("import io, contextlib\n"
+            "from pantsarc import cli\n"
+            "from pantsarc.census import enumerate_words\n"
+            "from pantsarc.intersect import _heads, self_intersection\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['intersect', '1BABA2']) == 0\n"
+            "for wl in range(2, 8):\n"
+            "    for w in enumerate_words(wl):\n"
+            "        self_intersection(w)\n"
+            "built = [_heads.cache_info().currsize]\n"
+            "self_intersection(next(enumerate_words(8)))\n"
+            "built.append(_heads.cache_info().currsize)\n"
+            "print(built)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(pantsarc.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stdout == "[0, 1]\n", proc.stderr
 
 
 def test_labels_and_render_through_length_10():

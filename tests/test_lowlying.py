@@ -152,6 +152,16 @@ def test_decompose_realizes_every_value():
         decompose(-1)
 
 
+@pytest.mark.parametrize("target", (4.5, 4.0, "7"))
+def test_non_integer_targets_are_refused(target):
+    # refused up front, naming the value, rather than by isqrt
+    message = f"a self-intersection number is an integer, got {target!r}"
+    for call in (decompose, witness):
+        with pytest.raises(ValueError) as excinfo:
+            call(target)
+        assert str(excinfo.value) == message
+
+
 def test_decompose_specials():
     assert decompose(0) == ("Z4", 0, None)
     assert decompose(2) == ("C2", 0, None)
