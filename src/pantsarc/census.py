@@ -151,8 +151,8 @@ def census(word_length: int, jobs: int | None = None,
             "pass allow_large=True to run one anyway")
     if jobs is None:
         jobs = os.cpu_count() or 1
-    if jobs < 1:
-        raise ValueError(f"jobs must be a positive integer, got {jobs}")
+    if not isinstance(jobs, int) or jobs < 1:
+        raise ValueError(f"jobs must be a positive integer, got {jobs!r}")
     if L == 0:
         hist = Counter({0: count_words(2)})
     else:

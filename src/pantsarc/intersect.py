@@ -56,12 +56,13 @@ word.  ``_extend(sc, k, y, total)`` steps columns k to T - 1 from the
 state left after column k - 1, so a word is priced from its prefix's
 state.  The state after column H - 1 depends on the first H shapes
 alone, and a word of more than H = 6 segments opens with one of 1,944
-heads: 8 opening segments, one per census task, each followed by 3^5
-letter paths.  ``_heads(opening)`` maps every head under one opening
-to its state, built on first use by walking ``planar._SUCCESSORS``
-depth-first with one ``_extend`` per extension.  ``_count`` is
-``_extend`` from the empty state on a word of at most H segments, and
-from its head's looked-up state on a longer one, H - 1 steps fewer.
+heads: 8 opening segments, each followed by 3^5 letter paths.
+``_head``, one ``functools.cache`` over ``_extend``, keeps each head's
+state from the first word that opens with it; ``planar._shapes``
+refuses every other word, so the cache never holds more than those
+1,944 states.  ``_count`` is ``_extend`` from the empty state on a
+word of at most H segments, and from its head's cached state on a
+longer one, H - 1 steps fewer.
 ``_count_tree`` writes the step out inline instead: it steps each
 node's residual once for all of its children.
 
@@ -232,46 +233,22 @@ def _extend(sc, k, y, total):
 
 # the state after a word's first H segments depends on those shapes
 # alone, and a word longer than H segments opens with one of 8 opening
-# segments and 3^5 letter paths: 1,944 heads in all, 244 KB of tables,
-# each opening's built in about 0.4 ms; H = 7 would triple the build
-# time and hold 0.9 MB, for one step fewer per word
+# segments and 3^5 letter paths: ``_head`` caches at most 1,944 states,
+# about 0.4 MB with their keys
 H = 6
-
-# the first letter of each opening segment shape, one per census task
-_OPENING_LETTERS = {cs: c for start in range(4, 7)
-                    for c, cs in _SUCCESSORS[start][0]}
 
 
 @functools.cache
-def _heads(opening):
-    """The state after column H - 1 of every head of H segments that
-    starts with the opening segment shape ``opening``, keyed by the
-    head's shapes; built on first use, depth-first over
-    ``planar._SUCCESSORS``, one column per extension."""
-    heads = {}
-
-    def grow(head, prev, y, total):
-        if len(head) == H:
-            heads[head] = y, total
-            return
-        for c, cs in _SUCCESSORS[prev][0]:
-            sc = head + bytes((cs,))
-            grow(sc, c, *_extend(sc, len(head), y, total))
-
-    grow(bytes((opening,)), _OPENING_LETTERS[opening], 0, 0)
-    # the table is made of fresh copies: the walk's own objects sit
-    # among the holes its temporaries left, and kept as the table they
-    # slowed every later count and trace by about 5%
-    return {bytes(bytearray(head)): (y + 0, total)
-            for head, (y, total) in heads.items()}
+def _head(head):
+    """The state after column H - 1 of a head of H segments."""
+    return _extend(head, 1, 0, 0)
 
 
 def _count(sc):
     """Self-intersection count from the segment shapes of a reduced word."""
     if len(sc) <= H:
         return _extend(sc, 1, 0, 0)[1]
-    y, total = _heads(sc[0])[sc[:H]]
-    return _extend(sc, H, y, total)[1]
+    return _extend(sc, H, *_head(sc[:H]))[1]
 
 
 def _count_tree(word_length, start, first):
@@ -369,8 +346,8 @@ def resolve_chain(w: ArcWord, i: int, j: int) -> Chain:
     """
     sc = _shapes(w)
     T = len(sc)
-    if not (1 <= i < j <= T):
-        raise ValueError(f"need 1 <= i < j <= {T}, got ({i}, {j})")
+    if not (isinstance(i, int) and isinstance(j, int) and 1 <= i < j <= T):
+        raise ValueError(f"need integers 1 <= i < j <= {T}, got ({i!r}, {j!r})")
     p, q = i - 1, j - 1
     c = DECISIONS[sc[p] << 6 | sc[q]]
     if c != 2:

@@ -127,8 +127,9 @@ def family_quotients(family_id: str, n: int = 0, m: int | None = None) -> tuple:
 def continued_fraction_value(quotients):
     """Value of the continued fraction 1/(a1 + 1/(a2 + ... + 1/ak))."""
     qs = tuple(quotients)
-    if not qs or any(a < 1 for a in qs):
-        raise ValueError("quotients must be a nonempty sequence of positive integers")
+    if not qs or any(not isinstance(a, int) or a < 1 for a in qs):
+        raise ValueError("quotients must be a nonempty sequence of positive "
+                         f"integers, got {qs!r}")
     from fractions import Fraction
 
     value = Fraction(0)

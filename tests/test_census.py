@@ -161,10 +161,12 @@ def test_count_tree_refuses_a_task_with_no_word():
 
 
 def test_census_rejects_nonpositive_jobs():
-    for bad in (0, -2):
-        with pytest.raises(ValueError,
-                           match=f"jobs must be a positive integer, got {bad}"):
-            census(4, jobs=bad)
+    # a non-int is refused up front at every size, not by the pool
+    for bad in (0, -2, 1.5, "2"):
+        for wl in (4, 12):
+            with pytest.raises(ValueError, match="jobs must be a positive "
+                               f"integer, got {re.escape(repr(bad))}$"):
+                census(wl, jobs=bad)
 
 
 def test_census_budget_guard():

@@ -15,10 +15,9 @@ from pantsarc.census import count_words, enumerate_words, length_bounds
 from pantsarc.intersect import (
     Chain,
     H,
-    _OPENING_LETTERS,
     _count,
     _extend,
-    _heads,
+    _head,
     _strand_side,
     _tables,
     resolve_chain,
@@ -79,6 +78,8 @@ def test_resolve_chain_of_the_worked_example():
         resolve_chain(w, 3, 3)
     with pytest.raises(ValueError):
         resolve_chain(w, 0, 2)
+    with pytest.raises(ValueError, match=r"got \(1\.0, 3\)"):
+        resolve_chain(w, 1.0, 3)
 
 
 def test_chain_is_the_same_from_every_member():
@@ -260,8 +261,8 @@ def test_count_holds_one_residual_at_a_time():
     # would hold about 4.5 MB
     word = witness(10**6).word
     T = len(word.letters) + 1
-    # the first call builds the kernel rows and the word's head table,
-    # fixed-size caches every later word shares
+    # the first call builds the kernel rows and caches the word's head
+    # state, fixed-size caches every later word shares
     self_intersection(word)
     tracemalloc.start()
     try:
@@ -304,36 +305,41 @@ def test_extend_splits_through_length_11():
             _assert_resumes(w, range(1, wl))
 
 
-def test_head_tables_hold_every_head():
-    # one table per opening segment, one entry per head of H segments
-    # that a longer word can open with, each the state of its head
-    # stepped from the empty state
-    heads = {_shapes(w)[:H] for w in enumerate_words(H + 2)}
-    assert len(_OPENING_LETTERS) == 8
-    tables = [_heads(opening) for opening in _OPENING_LETTERS]
-    assert sum(map(len, tables)) == len(heads) == 1944
-    for opening, table in zip(_OPENING_LETTERS, tables):
-        assert set(table) == {h for h in heads if h[0] == opening}
-        for head, state in table.items():
-            assert state == _extend(head, 1, 0, 0), head
+def test_head_cache_holds_every_head():
+    # a word of length H + 2 has H + 1 segments, so its words open with
+    # every head a longer word can open with; priced from an empty
+    # cache, they fill it with one state per head, each the head
+    # stepped from the empty state, and no word can add another
+    words = list(enumerate_words(H + 2))
+    heads = {_shapes(w)[:H] for w in words}
+    assert len(heads) == 1944
+    _head.cache_clear()
+    for w in words:
+        self_intersection(w)
+    assert _head.cache_info().currsize == 1944
+    for head in heads:
+        assert _head(head) == _extend(head, 1, 0, 0), head
+    for w in enumerate_words(H + 3):
+        self_intersection(w)
+    assert _head.cache_info().currsize == 1944
 
 
 def test_short_words_build_no_head_table():
     # the set-up probe, intersect 1BABA2, and every word of at most H
     # segments are stepped from the empty state; the first longer word
-    # builds its opening's table alone
+    # caches its own head's state alone
     code = ("import io, contextlib\n"
             "from pantsarc import cli\n"
             "from pantsarc.census import enumerate_words\n"
-            "from pantsarc.intersect import _heads, self_intersection\n"
+            "from pantsarc.intersect import _head, self_intersection\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    assert cli.main(['intersect', '1BABA2']) == 0\n"
             "for wl in range(2, 8):\n"
             "    for w in enumerate_words(wl):\n"
             "        self_intersection(w)\n"
-            "built = [_heads.cache_info().currsize]\n"
+            "built = [_head.cache_info().currsize]\n"
             "self_intersection(next(enumerate_words(8)))\n"
-            "built.append(_heads.cache_info().currsize)\n"
+            "built.append(_head.cache_info().currsize)\n"
             "print(built)\n")
     env = dict(os.environ, PYTHONPATH=str(Path(pantsarc.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], env=env,

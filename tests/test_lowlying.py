@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import product
 from math import isqrt
@@ -142,6 +143,9 @@ def test_continued_fraction_values():
         continued_fraction_value([])
     with pytest.raises(ValueError):
         continued_fraction_value([2, 0, 1])
+    for bad in ((1.5,), (2, 2.0), ("2",)):
+        with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
+            continued_fraction_value(bad)
 
 
 def test_decompose_realizes_every_value():
