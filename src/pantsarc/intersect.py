@@ -254,18 +254,28 @@ def _count(sc):
 def _count_tree(word_length, start, first):
     """Histogram of the counts of every word of the given length that
     starts with the boundary digit ``start`` and the letter ``first``;
-    ValueError, naming the task, for a task with no word."""
+    ValueError, naming the task, for a task with no word.
+
+    The leaves tally into a flat list indexed by the count, which
+    CPython updates faster than a ``Counter``: a word of L crossings has
+    L + 1 segments, so at most L (L + 1) / 2 self-crossings (the upper
+    bound of ``census.length_bounds``), and every count indexes a list
+    of L (L + 1) / 2 + 1 entries; an IndexError would be a fault of the
+    rows.  The histogram is returned as a ``Counter`` of the nonzero
+    entries."""
     opening = (_PAIR_SHAPES[(start + 3) << 3 | first]
-               if 0 < start < 4 and 0 <= first < 4 else 0)
-    if word_length < 3 or not opening:
-        raise ValueError(f"census task ({word_length}, {start}, {first}) has no "
-                         "word: it needs a length of 3 or more, a boundary "
-                         "digit 1-3 and a letter code 0-3 that may follow it")
+               if all(isinstance(x, int) for x in (word_length, start, first))
+               and 0 < start < 4 and 0 <= first < 4 else 0)
+    if not opening or word_length < 3:
+        raise ValueError(f"census task ({word_length!r}, {start!r}, {first!r}) "
+                         "has no word: it needs an integer length of 3 or more, "
+                         "a boundary digit 1-3 and a letter code 0-3 that may "
+                         "follow it")
     rows = _tables(True)
     L = word_length - 2
     from_bytes = int.from_bytes
     kept = from_bytes(b"\x40" * L, "little")
-    hist = Counter()
+    hist = [0] * (L * (L + 1) // 2 + 1)
 
     def grow(k, prev, shapes, priced, subtotal):
         # shapes holds the path's segments k - 1 down to 0, priced is
@@ -283,7 +293,7 @@ def _count_tree(word_length, start, first):
             grow(k + 1, c, shapes << 8 | cs, priced, subtotal + priced.count(1))
 
     grow(1, first, opening, b"", 0)
-    return hist
+    return Counter({i: n for i, n in enumerate(hist) if n})
 
 
 class Chain(namedtuple("Chain", "members parallel free_end decision")):

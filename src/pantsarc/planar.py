@@ -39,7 +39,8 @@ from __future__ import annotations
 import enum
 from collections import namedtuple
 
-from .words import LETTER_CHARS, SEAM_CHARS, ArcWord, WordError, _data_lines, _scan
+from .words import (LETTER_CHARS, SEAM_CHARS, ArcWord, WordError, _code_error,
+                    _data_lines, _scan)
 
 N_ITEMS = 8
 
@@ -111,14 +112,6 @@ _LABELS = tuple([ITEM_LABELS[s >> 3] + ITEM_LABELS[s & 7] for s in range(64)])
 # the symbol of each letter code: 0-3 kept, any other code 7, whose
 # every pair shape is the 0 marker
 _LETTER_SYMBOLS = bytes(range(4)).ljust(256, b"\7")
-
-
-def _code_error(w):
-    """The ValueError for a word holding a code that is no symbol,
-    naming the word by its repr, since str() of it can itself fail."""
-    if all(isinstance(d, int) and 0 < d < 4 for d in (w.start, w.end)):
-        return ValueError(f"{w!r}: letters must be a sequence of codes 0-3")
-    return ValueError(f"{w!r}: boundary digits must be 1, 2 or 3")
 
 
 def _shapes(w: ArcWord):

@@ -170,16 +170,44 @@ class SeamCounts(namedtuple("SeamCounts", "a_count b_count")):
     __slots__ = ()
 
 
+def _digits_are_boundaries(w):
+    return all(isinstance(d, int) and 0 < d < 4 for d in (w.start, w.end))
+
+
+def _code_error(w):
+    """The ValueError for a word holding a code that is no symbol,
+    naming the word by its repr, since str() of it can itself fail."""
+    if _digits_are_boundaries(w):
+        return ValueError(f"{w!r}: letters must be a sequence of codes 0-3")
+    return ValueError(f"{w!r}: boundary digits must be 1, 2 or 3")
+
+
+def _letter_codes(w: ArcWord) -> bytes:
+    """The letter codes of ``w``; the ValueError of the engine's readers
+    for a boundary digit that is not 1, 2 or 3 or letters that are not
+    a sequence of codes 0-3."""
+    try:
+        # len() first: bytes() would read a bare int n as n zero bytes
+        len(w.letters)
+        codes = bytes(w.letters)
+    except (TypeError, ValueError):
+        raise _code_error(w) from None
+    if max(codes, default=0) > 3 or not _digits_are_boundaries(w):
+        raise _code_error(w)
+    return codes
+
+
 def seam_counts(w: ArcWord) -> SeamCounts:
     """How many times the word crosses each cutting arc, either direction."""
-    b = sum(c >> 1 for c in w.letters)
-    return SeamCounts(len(w.letters) - b, b)
+    codes = _letter_codes(w)
+    b = sum(c >> 1 for c in codes)
+    return SeamCounts(len(codes) - b, b)
 
 
 def is_positive(w: ArcWord) -> bool:
     """True when no crossing occurs together with its reverse."""
     cases_seen = [set(), set()]
-    for c in w.letters:
+    for c in _letter_codes(w):
         cases_seen[c >> 1].add(c & 1)
     return all(len(s) < 2 for s in cases_seen)
 

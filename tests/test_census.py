@@ -111,22 +111,35 @@ def test_reference_covers_lengths_2_to_16():
     assert reference[16] == (7, 63)
 
 
-def test_census_is_deterministic_across_workers():
-    assert census(8, jobs=1) == census(8, jobs=2)
+# the first length large enough for a pool
+POOLED_LENGTH = next(wl for wl in range(2, CENSUS_SIZE_LIMIT + 1)
+                     if count_words(wl) >= _POOL_MIN_WORDS)
 
 
-def test_census_pools_from_the_crossover(monkeypatch):
-    # the first length large enough for a pool, and the one below it
-    wl = next(wl for wl in range(2, CENSUS_SIZE_LIMIT + 1)
-              if count_words(wl) >= _POOL_MIN_WORDS)
+@pytest.fixture
+def pools_started(monkeypatch):
+    """The size of each pool the census starts, in order."""
     started = []
     pool = multiprocessing.Pool
     monkeypatch.setattr(multiprocessing, "Pool",
                         lambda n: started.append(n) or pool(n))
+    return started
+
+
+def test_census_is_deterministic_across_workers(pools_started):
+    # one side runs the tasks in worker processes
+    wl = POOLED_LENGTH
+    assert census(wl, jobs=1) == census(wl, jobs=2)
+    assert pools_started == [2]
+
+
+def test_census_pools_from_the_crossover(pools_started):
+    # the first length large enough for a pool, and the one below it
+    wl = POOLED_LENGTH
     assert census(wl - 1, jobs=2) == census(wl - 1, jobs=1)
-    assert started == []
+    assert pools_started == []
     assert census(wl, jobs=2) == census(wl, jobs=1)
-    assert started == [2]
+    assert pools_started == [2]
 
 
 def test_task_orbits_share_one_histogram(census_by_length):
@@ -151,13 +164,27 @@ def test_tasks_match_the_word_engine():
 
 
 def test_count_tree_refuses_a_task_with_no_word():
-    # too short for a first crossing, an endpoint clash (1a), and codes
-    # out of range, which would otherwise read as other symbols
+    # too short for a first crossing, an endpoint clash (1a), codes out
+    # of range, which would otherwise read as other symbols, and fields
+    # that are not integers
     for task in ((2, 1, 3), (1, 1, 3), (3, 1, 0), (4, 1, 5), (4, 0, 1),
-                 (4, 4, 1)):
+                 (4, 4, 1), (10.0, 1, 3), (10, 1.0, 3), (10, 1, 3.0),
+                 ("10", 1, 3)):
         with pytest.raises(ValueError,
                            match=rf"^census task {re.escape(str(task))} has no word: "):
             _count_tree(*task)
+
+
+def test_count_tree_keeps_only_counts_that_occur():
+    # the tree walk tallies into a list, one entry per possible count;
+    # Counter == ignores a zero entry, so test_tasks_match_the_word_engine
+    # cannot see one, and census() would read it as an extreme
+    for wl in range(3, 13):
+        for task in _first_letter_tasks():
+            hist = _count_tree(wl, *task)
+            assert type(hist) is Counter
+            assert 0 not in hist.values(), (wl, task)
+            assert sum(hist.values()) == count_words(wl) // 8, (wl, task)
 
 
 def test_census_rejects_nonpositive_jobs():

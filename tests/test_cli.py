@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 from pantsarc import cli, planar
-from pantsarc.census import CensusReport, count_words, enumerate_words
+from pantsarc.census import (CENSUS_SIZE_LIMIT, _POOL_MIN_WORDS, CensusReport,
+                             count_words, enumerate_words)
 from pantsarc.cli import main
 from pantsarc.intersect import Trace
 from pantsarc.lowlying import witness
@@ -233,8 +234,12 @@ def test_census_histogram_file(capsys, tmp_path):
 
 
 def test_census_deterministic_across_jobs(capsys):
-    _, out1, _ = run(capsys, "census", "--length", "8", "--jobs", "1")
-    _, out2, _ = run(capsys, "census", "--length", "8", "--jobs", "2")
+    # at the first length that starts a pool, so that --jobs 2 runs the
+    # tasks in worker processes
+    wl = str(next(wl for wl in range(2, CENSUS_SIZE_LIMIT + 1)
+                  if count_words(wl) >= _POOL_MIN_WORDS))
+    _, out1, _ = run(capsys, "census", "--length", wl, "--jobs", "1")
+    _, out2, _ = run(capsys, "census", "--length", wl, "--jobs", "2")
     assert out1 == out2
 
 

@@ -1,10 +1,12 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given
 
 from pantsarc import words
 from pantsarc.census import enumerate_words
+from pantsarc.intersect import self_intersection
 from pantsarc.words import (
     ArcWord,
     BadShape,
@@ -132,6 +134,26 @@ def test_is_positive_examples():
     # no letter occurs with its inverse: both families all upper
     assert is_positive(parse_word("1BABA2"))
     assert not is_positive(parse_word("1Bab3"))
+
+
+def test_word_operations_refuse_codes_that_are_no_symbol():
+    # a letter code outside 0-3, letters that are no sequence or a
+    # boundary digit that is not 1, 2 or 3 get the engine readers'
+    # message, not a count or a bare TypeError
+    letters = "letters must be a sequence of codes 0-3"
+    digits = "boundary digits must be 1, 2 or 3"
+    for w, message in ((ArcWord(1, (9,), 2), letters),
+                       (ArcWord(1, (0, -1), 3), letters),
+                       (ArcWord(2, 3, 2), letters),
+                       (ArcWord(1, (0.0,), 2), letters),
+                       (ArcWord(1, "ab", 2), letters),
+                       (ArcWord(0, (2,), 2), digits),
+                       (ArcWord(1.0, (2,), 2), digits),
+                       (ArcWord(1, (2,), "3"), digits)):
+        for call in (seam_counts, is_positive, self_intersection):
+            with pytest.raises(ValueError,
+                               match=f"^{re.escape(f'{w!r}: {message}')}$"):
+                call(w)
 
 
 def test_positivize_examples():
