@@ -74,21 +74,32 @@ def count_words(word_length: int) -> int:
 
 
 def enumerate_words(word_length: int):
-    """Yield every valid word of the given length in ASCII order."""
+    """Yield every valid word of the given length in ASCII order.
+
+    The walk keeps its own stack, one iterator per letter placed, so a
+    long word costs no Python frame per letter.
+    """
     L = _crossings(word_length)
     letters = [0] * L
-
-    def grow(k, prev):
-        if k == L:
-            for end, _ in _SUCCESSORS[prev][1]:
-                yield ArcWord(start, tuple(letters), end - 3)
-            return
-        for c, _ in _SUCCESSORS[prev][0]:
-            letters[k] = c
-            yield from grow(k + 1, c)
-
     for start in (1, 2, 3):
-        yield from grow(0, start + 3)
+        # stack[k] runs over the letters that may sit at position k
+        stack = []
+        prev = start + 3
+        while True:
+            if len(stack) < L:
+                stack.append(iter(_SUCCESSORS[prev][0]))
+            else:
+                for end, _ in _SUCCESSORS[prev][1]:
+                    yield ArcWord(start, tuple(letters), end - 3)
+            # the next letter, at the deepest position that has one left
+            while stack:
+                nxt = next(stack[-1], None)
+                if nxt is not None:
+                    break
+                stack.pop()
+            else:
+                break
+            prev = letters[len(stack) - 1] = nxt[0]
 
 
 # one (start, first crossing) task per orbit, with letter codes

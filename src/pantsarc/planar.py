@@ -39,8 +39,8 @@ from __future__ import annotations
 import enum
 from collections import namedtuple
 
-from .words import (LETTER_CHARS, SEAM_CHARS, ArcWord, WordError, _code_error,
-                    _data_lines, _scan)
+from .words import (LETTER_CHARS, SEAM_CHARS, ArcWord, WordError, _data_lines,
+                    _letter_codes, _scan)
 
 N_ITEMS = 8
 
@@ -117,30 +117,26 @@ _LETTER_SYMBOLS = bytes(range(4)).ljust(256, b"\7")
 def _shapes(w: ArcWord):
     """The shape fr << 3 | to of each segment of ``w``, as bytes.
 
-    Raises ValueError, naming the word by its repr, for a boundary digit
-    that is not 1, 2 or 3, a letter code outside 0-3 or letters that are
-    not a sequence, such as a bare int.  Raises AlignmentOverrun
-    for a hand-built word the grammar refuses, with the word and then
-    the message ``parse_word`` gives.
+    A word whose fields do not pack, or whose shapes hold the 0 marker,
+    goes to ``words._letter_codes``, which raises ValueError for a field
+    that is no boundary digit or letter code, and then to the scanner:
+    a hand-built word the grammar refuses raises AlignmentOverrun, with
+    the word and then the message ``parse_word`` gives.
     """
     try:
         if not (0 < w.start < 4 and 0 < w.end < 4):
             raise ValueError
         # len() first: bytes() would read a bare int n as n zero bytes
         L = len(w.letters)
-        letters = bytes(w.letters).translate(_LETTER_SYMBOLS)
-        mid = int.from_bytes(letters, "big")
+        mid = int.from_bytes(bytes(w.letters).translate(_LETTER_SYMBOLS), "big")
         # every symbol beside its successor, as one byte x << 3 | y each
         sc = ((w.start + 3 << 8 * L | mid) << 3 | mid << 8 | w.end + 3).to_bytes(
             L + 1, "big").translate(_PAIR_SHAPES)
     except (TypeError, ValueError):
-        # a boundary digit that is not 1, 2 or 3, letters that are no
-        # sequence, a code that is not an int, or a letter code that is
-        # not a byte
-        raise _code_error(w) from None
+        # the 0 marker: the checks below name the field that is no symbol
+        sc = b"\0"
     if 0 in sc:
-        if 7 in letters:
-            raise _code_error(w)
+        _letter_codes(w)
         try:
             _scan(str(w))
         except WordError as exc:
@@ -200,7 +196,13 @@ DECISIONS = b"".join(_decision_row(f1, t1)
 
 
 def classify(s: Segment, t: Segment) -> Classification:
-    """Classify a pair of segments from their endpoint items alone."""
+    """Classify a pair of segments from their endpoint items alone.
+
+    Raises ValueError, naming both segments by their repr, for an item
+    that is not an int from 0 to 7.
+    """
+    if not all(isinstance(x, int) and 0 <= x < N_ITEMS for x in (*s, *t)):
+        raise ValueError(f"{s!r}, {t!r}: segment items must be ints 0-7")
     return Classification(DECISIONS[(s.fr << 3 | s.to) << 6 | t.fr << 3 | t.to])
 
 

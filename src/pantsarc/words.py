@@ -151,7 +151,8 @@ def _scan(text: str) -> ArcWord:
 
 def inverse(w: ArcWord) -> ArcWord:
     """The same arc traversed backwards."""
-    return ArcWord(w.end, tuple(c ^ 1 for c in reversed(w.letters)), w.start)
+    return ArcWord(w.end, tuple(c ^ 1 for c in reversed(_letter_codes(w))),
+                   w.start)
 
 
 _SWAP_BOUNDARY = {1: 2, 2: 1, 3: 3}
@@ -159,8 +160,8 @@ _SWAP_BOUNDARY = {1: 2, 2: 1, 3: 3}
 
 def relabel(w: ArcWord) -> ArcWord:
     """Exchange the two legs: boundaries 1 <-> 2 and cutting arcs a <-> b."""
-    return ArcWord(_SWAP_BOUNDARY[w.start],
-                   tuple(c ^ 2 for c in w.letters),
+    codes = _letter_codes(w)
+    return ArcWord(_SWAP_BOUNDARY[w.start], tuple(c ^ 2 for c in codes),
                    _SWAP_BOUNDARY[w.end])
 
 
@@ -170,31 +171,25 @@ class SeamCounts(namedtuple("SeamCounts", "a_count b_count")):
     __slots__ = ()
 
 
-def _digits_are_boundaries(w):
-    return all(isinstance(d, int) and 0 < d < 4 for d in (w.start, w.end))
-
-
-def _code_error(w):
-    """The ValueError for a word holding a code that is no symbol,
-    naming the word by its repr, since str() of it can itself fail."""
-    if _digits_are_boundaries(w):
-        return ValueError(f"{w!r}: letters must be a sequence of codes 0-3")
-    return ValueError(f"{w!r}: boundary digits must be 1, 2 or 3")
-
-
 def _letter_codes(w: ArcWord) -> bytes:
-    """The letter codes of ``w``; the ValueError of the engine's readers
-    for a boundary digit that is not 1, 2 or 3 or letters that are not
-    a sequence of codes 0-3."""
+    """The letter codes of ``w``.
+
+    The one check of a hand-built word's fields: every function that
+    takes an ArcWord raises its ValueError, naming the word by its repr,
+    since str() of it can itself fail, for a boundary digit that is not
+    1, 2 or 3 or else for letters that are not a sequence of codes 0-3.
+    """
+    if not all(isinstance(d, int) and 0 < d < 4 for d in (w.start, w.end)):
+        raise ValueError(f"{w!r}: boundary digits must be 1, 2 or 3")
     try:
         # len() first: bytes() would read a bare int n as n zero bytes
         len(w.letters)
         codes = bytes(w.letters)
+        if max(codes, default=0) < 4:
+            return codes
     except (TypeError, ValueError):
-        raise _code_error(w) from None
-    if max(codes, default=0) > 3 or not _digits_are_boundaries(w):
-        raise _code_error(w)
-    return codes
+        pass
+    raise ValueError(f"{w!r}: letters must be a sequence of codes 0-3")
 
 
 def seam_counts(w: ArcWord) -> SeamCounts:
@@ -254,9 +249,10 @@ def positivize(w: ArcWord) -> ArcWord:
     counts and word length are always preserved, and a word with no
     lowercase crossings at all is simply traversed backwards.
     """
-    if not any(c & 1 for c in w.letters):
+    codes = _letter_codes(w)
+    if not any(c & 1 for c in codes):
         return w
-    if all(c & 1 for c in w.letters):
+    if all(c & 1 for c in codes):
         return inverse(w)
     # the crossing engine sits above this module, so fetch it lazily
     from .intersect import self_intersection

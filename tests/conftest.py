@@ -5,6 +5,26 @@ from pantsarc.words import ArcWord, _CLASHING_FAMILY
 
 BARE_PAIRS = ((1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2), (3, 3))
 
+# hand-built words with a field that is no symbol, each with the message
+# every function taking an ArcWord gives after the word's repr: a letter
+# code outside 0-3, letters that are no sequence (bytes(3) would read as
+# three a's) or a boundary digit that is not 1, 2 or 3, which wins when
+# both fields are bad
+LETTERS = "letters must be a sequence of codes 0-3"
+DIGITS = "boundary digits must be 1, 2 or 3"
+MALFORMED_WORDS = (
+    (ArcWord(1, (9,), 2), LETTERS), (ArcWord(1, (0, -1), 3), LETTERS),
+    (ArcWord(2, 3, 2), LETTERS), (ArcWord(1, (0.0,), 2), LETTERS),
+    (ArcWord(1, "ab", 2), LETTERS), (ArcWord(1, (5,), 2), LETTERS),
+    (ArcWord(3, (0, 4, 0), 3), LETTERS), (ArcWord(1, (300,), 2), LETTERS),
+    (ArcWord(1, (-1,), 2), LETTERS),
+    (ArcWord(0, (2,), 2), DIGITS), (ArcWord(1.0, (2,), 2), DIGITS),
+    (ArcWord(1, (2,), "3"), DIGITS), (ArcWord(0, (), 2), DIGITS),
+    (ArcWord(1, (0,), 4), DIGITS), (ArcWord(1.5, (0,), 2), DIGITS),
+    (ArcWord("1", (), 2), DIGITS), (ArcWord(None, (), 2), DIGITS),
+    (ArcWord(0, 3, 2), DIGITS),
+)
+
 
 ACCEPTANCE_LINES = []
 

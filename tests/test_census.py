@@ -75,6 +75,13 @@ def test_enumeration_is_sorted_and_valid():
         assert {str(w) for w in enumerate_words(wl)} == accepted
 
 
+def test_enumeration_runs_past_the_recursion_limit():
+    # the walk keeps its own stack, so 2998 letters need no 2998 frames
+    words = enumerate_words(3000)
+    head = "1B" + "A" * 2997
+    assert [str(next(words)), str(next(words))] == [head + "2", head + "3"]
+
+
 def test_bare_words_enumerated():
     assert [str(w) for w in enumerate_words(2)] == [
         "12", "13", "21", "23", "31", "32", "33"]

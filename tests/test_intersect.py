@@ -32,7 +32,7 @@ from pantsarc.words import (
 
 import oracle_modular
 from circle_oracle import item_points, second_strand_left
-from conftest import arc_words, random_word
+from conftest import MALFORMED_WORDS, arc_words, random_word
 
 TABLE_GRID_1BABA2 = {
     (1, 2): "0", (1, 3): "X", (1, 4): "0", (1, 5): "1",
@@ -428,19 +428,10 @@ def test_non_reduced_words_are_rejected():
 
 
 def test_out_of_range_codes_are_rejected():
-    # hand-built words with a boundary digit that is not 1, 2 or 3, a
-    # letter code outside 0-3 or letters that are no sequence (bytes(3)
-    # would read as three a's): every reader of the segments refuses
-    # them, naming the word by its repr, since str() of such a word can
-    # itself fail
-    for w in (ArcWord(0, (), 2), ArcWord(1, (0,), 4), ArcWord(1, (5,), 2),
-              ArcWord(3, (0, 4, 0), 3), ArcWord(1, (300,), 2),
-              ArcWord(1, (-1,), 2), ArcWord(1.5, (0,), 2), ArcWord(2, 3, 2),
-              ArcWord("1", (), 2), ArcWord(None, (), 2),
-              ArcWord(1, (2,), "3")):
-        for call in (self_intersection, trace,
-                     lambda w: resolve_chain(w, 1, 2), segments,
-                     lambda w: endpoint_items(w.start, w.letters, w.end)):
-            with pytest.raises(ValueError) as err:
-                call(w)
-            assert str(err.value).startswith(f"{w!r}: ")
+    # planar.endpoint_items, which takes the fields of a word rather than
+    # an ArcWord, refuses a malformed one as the functions that take one
+    # do (tests/test_words.py holds those to the same table)
+    for w, message in MALFORMED_WORDS:
+        with pytest.raises(ValueError) as err:
+            endpoint_items(w.start, w.letters, w.end)
+        assert str(err.value) == f"{w!r}: {message}"

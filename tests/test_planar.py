@@ -161,6 +161,15 @@ def test_classify_examples():
     assert classify(by_label["2a"], by_label["A2"]) is NON
 
 
+def test_classify_refuses_items_that_are_no_octagon_item():
+    pairs = [(Segment(0, 9), Segment(1, 2)), (Segment(-1, 2), Segment(1, 3)),
+             (Segment(8, 0), Segment(1, 2)), (Segment(1.0, 2), Segment(1, 3))]
+    for s, t in pairs + [(t, s) for s, t in pairs]:
+        with pytest.raises(ValueError) as err:
+            classify(s, t)
+        assert str(err.value) == f"{s!r}, {t!r}: segment items must be ints 0-7"
+
+
 def test_classification_is_symmetric():
     for s, t in itertools.product(SEGMENT_LABELS.values(), repeat=2):
         assert classify(s, t) is classify(t, s)

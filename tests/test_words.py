@@ -1,12 +1,12 @@
 import itertools
-import re
+import typing
 
 import pytest
 from hypothesis import given
 
+import pantsarc
 from pantsarc import words
 from pantsarc.census import enumerate_words
-from pantsarc.intersect import self_intersection
 from pantsarc.words import (
     ArcWord,
     BadShape,
@@ -23,7 +23,7 @@ from pantsarc.words import (
     seam_counts,
 )
 
-from conftest import arc_words
+from conftest import MALFORMED_WORDS, arc_words
 
 
 def test_parse_accepts_known_words():
@@ -137,23 +137,24 @@ def test_is_positive_examples():
 
 
 def test_word_operations_refuse_codes_that_are_no_symbol():
-    # a letter code outside 0-3, letters that are no sequence or a
-    # boundary digit that is not 1, 2 or 3 get the engine readers'
-    # message, not a count or a bare TypeError
-    letters = "letters must be a sequence of codes 0-3"
-    digits = "boundary digits must be 1, 2 or 3"
-    for w, message in ((ArcWord(1, (9,), 2), letters),
-                       (ArcWord(1, (0, -1), 3), letters),
-                       (ArcWord(2, 3, 2), letters),
-                       (ArcWord(1, (0.0,), 2), letters),
-                       (ArcWord(1, "ab", 2), letters),
-                       (ArcWord(0, (2,), 2), digits),
-                       (ArcWord(1.0, (2,), 2), digits),
-                       (ArcWord(1, (2,), "3"), digits)):
-        for call in (seam_counts, is_positive, self_intersection):
-            with pytest.raises(ValueError,
-                               match=f"^{re.escape(f'{w!r}: {message}')}$"):
-                call(w)
+    # every public function with an ArcWord parameter, found by its
+    # annotations so that a new one is held to the same check, refuses a
+    # malformed word with one ValueError naming it by its repr, since
+    # str() of such a word can itself fail
+    takes_word = {}
+    for name in pantsarc.__all__:
+        f = getattr(pantsarc, name)
+        hints = typing.get_type_hints(f) if callable(f) else {}
+        if ArcWord in (hint for key, hint in hints.items() if key != "return"):
+            takes_word[name] = f
+    assert {"inverse", "relabel", "seam_counts", "is_positive", "positivize",
+            "segments", "self_intersection", "resolve_chain",
+            "trace"} <= set(takes_word)
+    for name, f in takes_word.items():
+        for w, message in MALFORMED_WORDS:
+            with pytest.raises(ValueError) as err:
+                f(w, 1, 2) if name == "resolve_chain" else f(w)
+            assert str(err.value) == f"{w!r}: {message}", name
 
 
 def test_positivize_examples():
