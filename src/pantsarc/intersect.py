@@ -72,7 +72,12 @@ them.  The residual holds only the chain ends no child can move, so
 ``_count_tree`` steps a node's residual from its parent's once, and
 each child is one translate through the row of its shape and a count
 of the ones; the same translate hands the child's verdicts on to its
-own children.
+own children.  A node at the last letter has no children to hand on
+to, only its two closing digits, which every letter has: ``_end_pairs``
+merges their rows into one *end-pair row* per letter, bit 0 the price
+against the first digit's segment and bit 1 against the second's, so
+the node prices both words in one translate, read as one integer z,
+and counts the ones of z in bit 0 and in bit 1 of every byte.
 
 The shapes of a word come from one translate too, ``planar._shapes``
 of the symbol pairs through ``planar._PAIR_SHAPES``.
@@ -207,6 +212,18 @@ def _tables(later):
     return tuple([_rows(s, later) for s in range(64)])
 
 
+@functools.cache
+def _end_pairs():
+    """The end-pair row of each letter code, built on first use from its
+    two closing digits' rows in ``_tables(True)``: bit 0 of an entry is
+    set where the first one's entry is 1, bit 1 where the second one's
+    is, so one translate prices both words that close after the letter."""
+    rows = _tables(True)
+    return tuple([bytes([(rows[a][x] == 1) | (rows[b][x] == 1) << 1
+                         for x in range(256)])
+                  for (_, a), (_, b) in (ends for _, ends in _SUCCESSORS[:4])])
+
+
 def _extend(sc, k, y, total):
     """Step columns k to T - 1 of the segment shapes ``sc`` of a reduced
     word from the state (y, total) left after column k - 1, and return
@@ -272,9 +289,12 @@ def _count_tree(word_length, start, first):
                          "a boundary digit 1-3 and a letter code 0-3 that may "
                          "follow it")
     rows = _tables(True)
+    pairs = _end_pairs()
     L = word_length - 2
     from_bytes = int.from_bytes
-    kept = from_bytes(b"\x40" * L, "little")
+    ones = from_bytes(b"\x01" * L, "little")
+    twos = ones << 1
+    kept = ones << 6
     hist = [0] * (L * (L + 1) // 2 + 1)
 
     def grow(k, prev, shapes, priced, subtotal):
@@ -283,12 +303,15 @@ def _count_tree(word_length, start, first):
         # share segment k's start, so one step serves them all
         y = from_bytes(priced, "little")
         residual = (shapes | (y | y << 15) & kept).to_bytes(k, "little")
-        letters, ends = _SUCCESSORS[prev]
         if k == L:
-            for _, cs in ends:
-                hist[subtotal + residual.translate(rows[cs]).count(1)] += 1
+            # the two words that close after the last letter, in one
+            # translate: bit 0 prices the first closing digit, bit 1 the
+            # second
+            z = from_bytes(residual.translate(pairs[prev]), "little")
+            hist[subtotal + (z & ones).bit_count()] += 1
+            hist[subtotal + (z & twos).bit_count()] += 1
             return
-        for c, cs in letters:
+        for c, cs in _SUCCESSORS[prev][0]:
             priced = residual.translate(rows[cs])
             grow(k + 1, c, shapes << 8 | cs, priced, subtotal + priced.count(1))
 

@@ -62,7 +62,16 @@ class Segment(namedtuple("Segment", "fr to")):
     __slots__ = ()
 
     def label(self) -> str:
+        """The two items' labels; ValueError, naming the segment by its
+        repr, for an item that is not an int from 0 to 7."""
+        if not _are_items(self):
+            raise ValueError(f"{self!r}: segment items must be ints 0-7")
         return _LABELS[self.fr << 3 | self.to]
+
+
+def _are_items(xs):
+    """Whether every one of ``xs`` is an int from 0 to 7, an octagon item."""
+    return all(isinstance(x, int) and 0 <= x < N_ITEMS for x in xs)
 
 
 class Classification(enum.Enum):
@@ -201,7 +210,7 @@ def classify(s: Segment, t: Segment) -> Classification:
     Raises ValueError, naming both segments by their repr, for an item
     that is not an int from 0 to 7.
     """
-    if not all(isinstance(x, int) and 0 <= x < N_ITEMS for x in (*s, *t)):
+    if not _are_items((*s, *t)):
         raise ValueError(f"{s!r}, {t!r}: segment items must be ints 0-7")
     return Classification(DECISIONS[(s.fr << 3 | s.to) << 6 | t.fr << 3 | t.to])
 

@@ -151,7 +151,7 @@ def _scan(text: str) -> ArcWord:
 
 def inverse(w: ArcWord) -> ArcWord:
     """The same arc traversed backwards."""
-    return ArcWord(w.end, tuple(c ^ 1 for c in reversed(_letter_codes(w))),
+    return ArcWord(w.end, tuple(c ^ 1 for c in reversed(_word_codes(w))),
                    w.start)
 
 
@@ -160,7 +160,7 @@ _SWAP_BOUNDARY = {1: 2, 2: 1, 3: 3}
 
 def relabel(w: ArcWord) -> ArcWord:
     """Exchange the two legs: boundaries 1 <-> 2 and cutting arcs a <-> b."""
-    codes = _letter_codes(w)
+    codes = _word_codes(w)
     return ArcWord(_SWAP_BOUNDARY[w.start], tuple(c ^ 2 for c in codes),
                    _SWAP_BOUNDARY[w.end])
 
@@ -192,9 +192,21 @@ def _letter_codes(w: ArcWord) -> bytes:
     raise ValueError(f"{w!r}: letters must be a sequence of codes 0-3")
 
 
+def _word_codes(w: ArcWord) -> bytes:
+    """The letter codes of ``w``, refused as the segment readers refuse
+    it, through ``planar._shapes``: ValueError from ``_letter_codes`` for
+    a field that is no symbol, then AlignmentOverrun, naming the word,
+    for a word ``parse_word`` refuses.  A valid word costs one translate
+    of its symbol pairs, with no loop over its letters."""
+    # the planar model sits above this module, so fetch it lazily
+    from .planar import _shapes
+    _shapes(w)
+    return bytes(w.letters)
+
+
 def seam_counts(w: ArcWord) -> SeamCounts:
     """How many times the word crosses each cutting arc, either direction."""
-    codes = _letter_codes(w)
+    codes = _word_codes(w)
     b = sum(c >> 1 for c in codes)
     return SeamCounts(len(codes) - b, b)
 
@@ -202,7 +214,7 @@ def seam_counts(w: ArcWord) -> SeamCounts:
 def is_positive(w: ArcWord) -> bool:
     """True when no crossing occurs together with its reverse."""
     cases_seen = [set(), set()]
-    for c in _letter_codes(w):
+    for c in _word_codes(w):
         cases_seen[c >> 1].add(c & 1)
     return all(len(s) < 2 for s in cases_seen)
 
@@ -249,7 +261,7 @@ def positivize(w: ArcWord) -> ArcWord:
     counts and word length are always preserved, and a word with no
     lowercase crossings at all is simply traversed backwards.
     """
-    codes = _letter_codes(w)
+    codes = _word_codes(w)
     if not any(c & 1 for c in codes):
         return w
     if all(c & 1 for c in codes):

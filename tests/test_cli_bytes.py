@@ -28,7 +28,7 @@ _MEMBERS = (("F1", 3, None), ("F2", 3, None), ("F3", 3, None),
 
 def commands():
     """Every pinned command line, without its ``--format``."""
-    out = [["census", "--length", str(n), "--jobs", "1"] for n in range(2, 11)]
+    out = [["census", "--length", str(n), "--jobs", "1"] for n in range(2, 13)]
     for n in range(2, 8):
         out += [["enumerate", "--length", str(n)],
                 ["enumerate", "--length", str(n), "--count-only"]]
@@ -69,6 +69,8 @@ PINS = """
 0 21f902541b4a9c13a3d23dcdefa4971fe9d6834167a0a5fc5910527e21e9cf9f census --length 8 --jobs 1 --format json
 0 45bf524aa371cb174619a13841ad68f7278c0b4b71b4783fb1e665e504c00774 census --length 9 --jobs 1 --format json
 0 d7dfcccba2945bedf5cca96b833e3c21395ede8a2c37843ea069f34e4119bcf5 census --length 10 --jobs 1 --format json
+0 a5cb2ec233c0d9777452f9cd4ea5ba3b83af11ffa949b8b992da5f94b4580f96 census --length 11 --jobs 1 --format json
+0 34949681f99ab4bb48599decd03206f4e415fdb26e3a51e9b7f13ec845348d8a census --length 12 --jobs 1 --format json
 0 c10f7e3be8d1d8fc2b62f5bac87136d0c93979234614c8dd958f32b0c80e07c8 enumerate --length 2 --format json
 0 dcc101b254b350b558ee28e044ffba527e029d69d245870cdafcd4a119d1e5b0 enumerate --length 2 --count-only --format json
 0 4f217bd0b6c2f3da560294500638d01239d8a9f6f7a61a8e4c937c8391d6081f enumerate --length 3 --format json
@@ -162,6 +164,8 @@ PINS = """
 0 fe376920dda98d918e3d7533ff8b81fe7333b5a7317bc62e4080a9b0be3365fe census --length 8 --jobs 1 --format text
 0 69b3fc0a6391f1379851c84ec255ec1bf2ea14559f0946ae6055b34019653b2b census --length 9 --jobs 1 --format text
 0 74278f7d02c7f9e44c9ab399dbc30e922358b8b798aad6426c59947e0da615f9 census --length 10 --jobs 1 --format text
+0 0f19fc950fb805d6e4daf723bb81069d05e46e0b02b5dfd37790d67f21f25c8d census --length 11 --jobs 1 --format text
+0 d34956e76d6ff191ddcb8d9823e9f2b01199673daf7e11cb0e5653abcd4e3bdb census --length 12 --jobs 1 --format text
 0 183b4377dd218d87d2e9a176a716da55a871a40c52f97c341cb648cb0c7bdfd9 enumerate --length 2 --format text
 0 10159baf262b43a92d95db59dae1f72c645127301661e0a3ce4e38b295a97c58 enumerate --length 2 --count-only --format text
 0 20c44bd28cb12899d717893a4728e8ef0ce32aa488c799193ddf515d5ab8cfb8 enumerate --length 3 --format text

@@ -16,6 +16,7 @@ from pantsarc.intersect import (
     Chain,
     H,
     _count,
+    _end_pairs,
     _extend,
     _head,
     _strand_side,
@@ -25,7 +26,8 @@ from pantsarc.intersect import (
     trace,
 )
 from pantsarc.lowlying import witness
-from pantsarc.planar import AlignmentOverrun, _shapes, endpoint_items, segments
+from pantsarc.planar import (
+    _SUCCESSORS, AlignmentOverrun, _shapes, endpoint_items, segments)
 from pantsarc.words import (
     ArcWord, WordError, inverse, is_positive, parse_word, positivize, relabel,
     seam_counts)
@@ -253,6 +255,24 @@ def test_kernel_rows_price_or_hand_on():
     for row in rows:
         assert len(row) == 256
         assert set(row[:128]) <= {0, 1, 0x40, 0x80}
+
+
+def test_end_pair_rows_price_both_closing_digits():
+    # a census leaf prices the two words that close after its last
+    # letter in one translate: every letter has exactly two closing
+    # digits, and on every residual byte its end-pair row's bit 0 and
+    # bit 1 are the prices of the two closing shapes' kernel rows
+    rows = _tables(True)
+    pairs = _end_pairs()
+    assert len(pairs) == 4
+    for c in range(4):
+        ends = _SUCCESSORS[c][1]
+        assert len(ends) == 2, c
+        (_, first), (_, second) = ends
+        assert len(pairs[c]) == 256
+        for x in range(256):
+            assert pairs[c][x] & 1 == (rows[first][x] == 1), (c, x)
+            assert pairs[c][x] >> 1 & 1 == (rows[second][x] == 1), (c, x)
 
 
 def test_count_holds_one_residual_at_a_time():

@@ -170,6 +170,13 @@ def test_classify_refuses_items_that_are_no_octagon_item():
         assert str(err.value) == f"{s!r}, {t!r}: segment items must be ints 0-7"
 
 
+def test_label_refuses_items_that_are_no_octagon_item():
+    for s in (Segment(-1, 2), Segment(8, 0), Segment(1.0, 2)):
+        with pytest.raises(ValueError) as err:
+            s.label()
+        assert str(err.value) == f"{s!r}: segment items must be ints 0-7"
+
+
 def test_classification_is_symmetric():
     for s, t in itertools.product(SEGMENT_LABELS.values(), repeat=2):
         assert classify(s, t) is classify(t, s)

@@ -1,4 +1,6 @@
+import functools
 import itertools
+import re
 import typing
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given
 import pantsarc
 from pantsarc import words
 from pantsarc.census import enumerate_words
+from pantsarc.planar import AlignmentOverrun
 from pantsarc.words import (
     ArcWord,
     BadShape,
@@ -136,25 +139,55 @@ def test_is_positive_examples():
     assert not is_positive(parse_word("1Bab3"))
 
 
-def test_word_operations_refuse_codes_that_are_no_symbol():
-    # every public function with an ArcWord parameter, found by its
-    # annotations so that a new one is held to the same check, refuses a
-    # malformed word with one ValueError naming it by its repr, since
-    # str() of such a word can itself fail
+def _word_operations():
+    """Every public function with an ArcWord parameter, found by its
+    annotations so that a new one is held to the same checks, each
+    called on a word alone (``resolve_chain`` on its pair (1, 2))."""
     takes_word = {}
     for name in pantsarc.__all__:
         f = getattr(pantsarc, name)
         hints = typing.get_type_hints(f) if callable(f) else {}
         if ArcWord in (hint for key, hint in hints.items() if key != "return"):
-            takes_word[name] = f
+            takes_word[name] = (functools.partial(f, i=1, j=2)
+                                if name == "resolve_chain" else f)
     assert {"inverse", "relabel", "seam_counts", "is_positive", "positivize",
             "segments", "self_intersection", "resolve_chain",
             "trace"} <= set(takes_word)
-    for name, f in takes_word.items():
+    return takes_word
+
+
+def test_word_operations_refuse_codes_that_are_no_symbol():
+    # a malformed word is refused with one ValueError naming it by its
+    # repr, since str() of such a word can itself fail
+    for name, f in _word_operations().items():
         for w, message in MALFORMED_WORDS:
             with pytest.raises(ValueError) as err:
-                f(w, 1, 2) if name == "resolve_chain" else f(w)
+                f(w)
             assert str(err.value) == f"{w!r}: {message}", name
+
+
+# hand-built words of valid symbols that the grammar refuses, each with
+# the message parse_word gives for its text: an endpoint clash at each
+# end, a letter undoing the one before it, and 11
+REFUSED_WORDS = (
+    (ArcWord(1, (0, 3), 1), "crossing 'a' retracts into boundary 1 (position 1)"),
+    (ArcWord(3, (2, 0), 1), "crossing 'a' retracts into boundary 1 (position 3)"),
+    (ArcWord(3, (0, 1), 3), "crossing 'A' undoes the previous one (position 2)"),
+    (ArcWord(1, (), 1), "crossing-free word from boundary 1 to itself (position 1)"),
+)
+
+
+def test_word_operations_refuse_words_the_grammar_refuses():
+    # the same AlignmentOverrun every segment reader raises, naming the
+    # word and then the message parse_word gives for its text
+    for w, message in REFUSED_WORDS:
+        with pytest.raises(WordError, match=re.escape(message)):
+            parse_word(str(w))
+    for name, f in _word_operations().items():
+        for w, message in REFUSED_WORDS:
+            with pytest.raises(AlignmentOverrun) as err:
+                f(w)
+            assert str(err.value) == f"{w}: {message}", name
 
 
 def test_positivize_examples():
