@@ -55,14 +55,13 @@ verdicts on, and the prices summed so far; the shapes come from the
 word.  ``_extend(sc, k, y, total)`` steps columns k to T - 1 from the
 state left after column k - 1, so a word is priced from its prefix's
 state.  The state after column H - 1 depends on the first H shapes
-alone, and a word of more than H = 6 segments opens with one of 1,944
-heads: 8 opening segments, each followed by 3^5 letter paths.
-``_head``, one ``functools.cache`` over ``_extend``, keeps each head's
-state from the first word that opens with it; ``planar._shapes``
-refuses every other word, so the cache never holds more than those
-1,944 states.  ``_count`` is ``_extend`` from the empty state on a
-word of at most H segments, and from its head's cached state on a
-longer one, H - 1 steps fewer.
+alone, so ``_head``, one ``functools.cache`` over ``_extend``, keeps
+the state after a word's head, its first min(T, H) segments with
+H = 6, from the first word that opens with it; ``_count`` steps on
+from there.  Only valid words get past ``planar._shapes``, so the cache
+keeps at most 3,887 states: 1,944 heads of longer words, 8 opening
+segments each followed by 3^5 letter paths, and the 1,943 words of at
+most H segments, each its own head.
 ``_count_tree`` writes the step out inline instead: it steps each
 node's residual once for all of its children.
 
@@ -248,30 +247,27 @@ def _extend(sc, k, y, total):
     return y, total
 
 
-# the state after a word's first H segments depends on those shapes
-# alone, and a word longer than H segments opens with one of 8 opening
-# segments and 3^5 letter paths: ``_head`` caches at most 1,944 states,
-# about 0.4 MB with their keys
+# a word's head is its first min(T, H) segments: 1,944 heads open the
+# longer words and the 1,943 shorter ones are their own, so ``_head``
+# keeps at most 3,887 states, about 0.8 MB with their keys
 H = 6
 
 
 @functools.cache
 def _head(head):
-    """The state after column H - 1 of a head of H segments."""
+    """The state after the last column of a word's head ``head``."""
     return _extend(head, 1, 0, 0)
 
 
 def _count(sc):
     """Self-intersection count from the segment shapes of a reduced word."""
-    if len(sc) <= H:
-        return _extend(sc, 1, 0, 0)[1]
     return _extend(sc, H, *_head(sc[:H]))[1]
 
 
 def _count_tree(word_length, start, first):
     """Histogram of the counts of every word of the given length that
     starts with the boundary digit ``start`` and the letter ``first``;
-    ValueError, naming the task, for a task with no word.
+    ValueError, naming the task, for a task with no word or too deep.
 
     The leaves tally into a flat list indexed by the count, which
     CPython updates faster than a ``Counter``: a word of L crossings has
@@ -315,7 +311,11 @@ def _count_tree(word_length, start, first):
             priced = residual.translate(rows[cs])
             grow(k + 1, c, shapes << 8 | cs, priced, subtotal + priced.count(1))
 
-    grow(1, first, opening, b"", 0)
+    try:
+        grow(1, first, opening, b"", 0)
+    except RecursionError:
+        raise ValueError(f"census task ({word_length!r}, {start!r}, {first!r}) "
+                         "is deeper than the recursion limit") from None
     return Counter({i: n for i, n in enumerate(hist) if n})
 
 
@@ -451,23 +451,21 @@ def trace(w: ArcWord) -> Trace:
     # boundary stretch, so the row shrinks by one byte
     kept = from_bytes(b"\x40" * T, "little")
     shapes = from_bytes(sc, "little")
-    shift = 8
-    # row 0: no chain runs on into it except the free one, fixed below
-    row = sc[1:].translate(table[sc[0]])
-    rows = [row]
-    for p in range(1, T - 1):
-        shift += 8
+    # the empty row before row 0 hands no verdict on: only the free chain
+    # runs on into row 0, fixed below
+    rows = [b""]
+    for p in range(T - 1):
+        shapes >>= 8
         # under the one mask bit 6 of a row entry stays in its byte and
         # bit 7 lands on bit 6 two bytes down; bits 0 and 1, the cell,
         # and bit 6 shifted land on bits 7, 0 and 5, all masked off
-        y = from_bytes(row, "little")
-        row = (shapes >> shift | (y | y >> 17) & kept).to_bytes(
-            T - 1 - p, "little").translate(table[sc[p]])
-        rows.append(row)
+        y = from_bytes(rows[-1], "little")
+        rows.append((shapes | (y | y >> 17) & kept).to_bytes(
+            T - 1 - p, "little").translate(table[sc[p]]))
     grid = bytearray().join(rows).translate(_CELLS)
-    if T > 1 and sc[0] == (sc[-1] & 7) << 3 | sc[-1] >> 3:
-        # the first segment is the last one reversed: the free chain
-        # through (0, T - 1) is never charged
+    if sc[0] == (sc[-1] & 7) << 3 | sc[-1] >> 3:
+        # the first segment is the last one reversed (so T > 1, as
+        # fr != to): the free chain through (0, T - 1) is never charged
         p, q = _walk_chain(sc, 0, T - 1)[0][-1]
         grid[p * (2 * T - p - 1) // 2 + q - p - 1] = ord("0")
     labels = tuple([_LABELS[s] for s in sc])

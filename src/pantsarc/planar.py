@@ -40,7 +40,7 @@ import enum
 from collections import namedtuple
 
 from .words import (LETTER_CHARS, SEAM_CHARS, ArcWord, WordError, _data_lines,
-                    _letter_codes, _scan)
+                    _check_fields, _scan)
 
 N_ITEMS = 8
 
@@ -127,7 +127,7 @@ def _shapes(w: ArcWord):
     """The shape fr << 3 | to of each segment of ``w``, as bytes.
 
     A word whose fields do not pack, or whose shapes hold the 0 marker,
-    goes to ``words._letter_codes``, which raises ValueError for a field
+    goes to ``words._check_fields``, which raises ValueError for a field
     that is no boundary digit or letter code, and then to the scanner:
     a hand-built word the grammar refuses raises AlignmentOverrun, with
     the word and then the message ``parse_word`` gives.
@@ -145,7 +145,7 @@ def _shapes(w: ArcWord):
         # the 0 marker: the checks below name the field that is no symbol
         sc = b"\0"
     if 0 in sc:
-        _letter_codes(w)
+        _check_fields(w)
         try:
             _scan(str(w))
         except WordError as exc:

@@ -171,22 +171,21 @@ class SeamCounts(namedtuple("SeamCounts", "a_count b_count")):
     __slots__ = ()
 
 
-def _letter_codes(w: ArcWord) -> bytes:
-    """The letter codes of ``w``.
-
-    The one check of a hand-built word's fields: every function that
-    takes an ArcWord raises its ValueError, naming the word by its repr,
-    since str() of it can itself fail, for a boundary digit that is not
-    1, 2 or 3 or else for letters that are not a sequence of codes 0-3.
+def _check_fields(w: ArcWord) -> None:
+    """The one check of a hand-built word's fields: ValueError, naming
+    the word by its repr, since str() of it can itself fail, for a
+    boundary digit that is not 1, 2 or 3, or else for letters that are
+    not a sequence of codes 0-3.  ``planar._shapes`` calls it on a word
+    that fails to pack or holds the 0 marker, so every function that
+    takes an ArcWord refuses such a field with this error.
     """
     if not all(isinstance(d, int) and 0 < d < 4 for d in (w.start, w.end)):
         raise ValueError(f"{w!r}: boundary digits must be 1, 2 or 3")
     try:
         # len() first: bytes() would read a bare int n as n zero bytes
         len(w.letters)
-        codes = bytes(w.letters)
-        if max(codes, default=0) < 4:
-            return codes
+        if max(bytes(w.letters), default=0) < 4:
+            return
     except (TypeError, ValueError):
         pass
     raise ValueError(f"{w!r}: letters must be a sequence of codes 0-3")
@@ -194,7 +193,7 @@ def _letter_codes(w: ArcWord) -> bytes:
 
 def _word_codes(w: ArcWord) -> bytes:
     """The letter codes of ``w``, refused as the segment readers refuse
-    it, through ``planar._shapes``: ValueError from ``_letter_codes`` for
+    it, through ``planar._shapes``: ValueError from ``_check_fields`` for
     a field that is no symbol, then AlignmentOverrun, naming the word,
     for a word ``parse_word`` refuses.  A valid word costs one translate
     of its symbol pairs, with no loop over its letters."""

@@ -285,6 +285,20 @@ def test_census_warns_above_the_size_limit(capsys, monkeypatch):
     assert calls == [((17,), {"jobs": 1, "allow_large": True})]
 
 
+def test_census_deeper_than_the_recursion_limit_is_refused():
+    # the search recurses once per letter: past the recursion limit its
+    # first descent fails at once, as invalid input and not as a defect
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pantsarc", "census", "--length", "1100",
+         "--jobs", "1"], env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 1 and proc.stdout == "", proc.stderr
+    warning, error = proc.stderr.splitlines()
+    assert warning.startswith("warning: census at word length 1100 exceeds ")
+    assert error == ("error: census task (1100, 1, 3) is deeper than the "
+                     "recursion limit")
+
+
 @pytest.mark.parametrize("argv", [("spectrum", "--max", "-5"),
                                   ("cover", "--max", "-1"),
                                   ("cover", "--max", "x")])

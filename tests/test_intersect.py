@@ -344,27 +344,37 @@ def test_head_cache_holds_every_head():
     assert _head.cache_info().currsize == 1944
 
 
-def test_short_words_build_no_head_table():
-    # the set-up probe, intersect 1BABA2, and every word of at most H
-    # segments are stepped from the empty state; the first longer word
-    # caches its own head's state alone
+def test_every_word_starts_from_its_cached_head():
+    # a word's head is its first min(T, H) segments, so the words of
+    # lengths 2 to H + 2, priced from an empty cache, fill it with the
+    # 1,944 heads of longer words and the 1,943 words of at most H
+    # segments, each its own head stepped from the empty state; no
+    # longer word adds another
+    words = [w for wl in range(2, H + 3) for w in enumerate_words(wl)]
+    heads = {_shapes(w)[:H] for w in words}
+    assert len(heads) == 3887
+    _head.cache_clear()
+    for w in words:
+        self_intersection(w)
+    assert _head.cache_info().currsize == 3887
+    for head in heads:
+        assert _head(head) == _extend(head, 1, 0, 0), head
+    for wl in (H + 3, H + 4):
+        for w in enumerate_words(wl):
+            self_intersection(w)
+    assert _head.cache_info().currsize == 3887
+    # start-up, the set-up probe intersect 1BABA2, caches its own state
+    # alone and builds no table
     code = ("import io, contextlib\n"
             "from pantsarc import cli\n"
-            "from pantsarc.census import enumerate_words\n"
-            "from pantsarc.intersect import _head, self_intersection\n"
+            "from pantsarc.intersect import _head\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    assert cli.main(['intersect', '1BABA2']) == 0\n"
-            "for wl in range(2, 8):\n"
-            "    for w in enumerate_words(wl):\n"
-            "        self_intersection(w)\n"
-            "built = [_head.cache_info().currsize]\n"
-            "self_intersection(next(enumerate_words(8)))\n"
-            "built.append(_head.cache_info().currsize)\n"
-            "print(built)\n")
+            "print(_head.cache_info().currsize)\n")
     env = dict(os.environ, PYTHONPATH=str(Path(pantsarc.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
-    assert proc.stdout == "[0, 1]\n", proc.stderr
+    assert proc.stdout == "1\n", proc.stderr
 
 
 def test_labels_and_render_through_length_10():
