@@ -129,9 +129,6 @@ class CensusReport(namedtuple("CensusReport",
         """The histogram as a sorted list of [value, count] pairs."""
         return [[i, self.histogram[i]] for i in sorted(self.histogram)]
 
-    def as_dict(self):
-        return {**self._asdict(), "histogram": self.histogram_pairs()}
-
 
 # beyond this length a census covers count_words(17) = 76,527,504 words
 # or more, three times as many with each further symbol
@@ -175,7 +172,9 @@ def census(word_length: int, jobs: int | None = None,
             from multiprocessing import Pool
 
             with Pool(min(jobs, len(tasks))) as pool:
-                parts = pool.starmap(_census_task, tasks)
+                results = [pool.apply_async(_census_task, t) for t in tasks]
+                # waited on in task order, so a refusal names the first task
+                parts = [r.get() for r in results]
         else:
             parts = [_census_task(*t) for t in tasks]
         hist = Counter()

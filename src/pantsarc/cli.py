@@ -77,6 +77,28 @@ def _cmd_validate(args):
     return OK
 
 
+def _grid_rows(t):
+    """The rows of trace ``t``'s grid as (i, cells (i, i + 1) .. (i, T))."""
+    T = len(t.labels)
+    end = 0
+    for i in range(1, T):
+        start, end = end, end + T - i
+        yield i, t.grid[start:end]
+
+
+def _grid_lines(t):
+    """The lines of trace ``t``'s text grid, the total last, one at a time."""
+    names = [f"w{k + 1}={lab}" for k, lab in enumerate(t.labels)]
+    width = max(len(n) for n in names) + 2
+    yield " " * width + "".join(n.ljust(width) for n in names[1:])
+    gap = " " * (width - 1)
+    for i, cells in _grid_rows(t):
+        # row i's cells sit under w(i+1) .. wT
+        yield (names[i - 1].ljust(width) + " " * (width * (i - 1))
+               + gap.join(cells))
+    yield f"total = {t.total}"
+
+
 def _cmd_intersect(args):
     w = parse_word(args.word)
     if not args.trace:
@@ -85,18 +107,15 @@ def _cmd_intersect(args):
         return OK
     t = trace(w)
     if args.format == "text":
-        # the text path writes the grid a line at a time, in the bytes
-        # print(t.render()) would give, and builds no payload
-        out = sys.stdout
-        for line in t._lines():
-            out.write(line + "\n")
+        # a line at a time, building no payload
+        sys.stdout.writelines(f"{line}\n" for line in _grid_lines(t))
         return OK
     # one grid row at a time, in the bytes _print would give the payload
     out = sys.stdout
     segments = json.dumps(list(t.labels), separators=(",", ":"))
     out.write(f'{{"word":{json.dumps(t.word)},"i":{t.total},'
               f'"segments":{segments},"grid":{{')
-    for i, cells in t._grid_rows():
+    for i, cells in _grid_rows(t):
         row = ",".join([f'"{i},{j}":"{cell}"' for j, cell
                         in enumerate(cells, i + 1)])
         out.write(row if i == 1 else "," + row)
@@ -131,15 +150,15 @@ def _cmd_census(args):
               f"usual budget (limit {CENSUS_SIZE_LIMIT}); running anyway",
               file=sys.stderr)
     report = census(args.length, jobs=args.jobs, allow_large=True)
+    pairs = report.histogram_pairs()
     if args.histogram:
         with open(args.histogram, "w") as handle:
             handle.write("i,count\n")
-            for i, c in report.histogram_pairs():
-                handle.write(f"{i},{c}\n")
+            handle.writelines([f"{i},{c}\n" for i, c in pairs])
     lines = [f"word length {report.word_length}: {report.word_count} words, "
              f"i from {report.min_i} to {report.max_i}"]
-    lines += [f"{i:4d} {c}" for i, c in report.histogram_pairs()]
-    _print(report.as_dict(), args, "\n".join(lines))
+    lines += [f"{i:4d} {c}" for i, c in pairs]
+    _print({**report._asdict(), "histogram": pairs}, args, "\n".join(lines))
     return OK
 
 

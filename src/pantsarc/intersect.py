@@ -57,11 +57,11 @@ state left after column k - 1, so a word is priced from its prefix's
 state.  The state after column H - 1 depends on the first H shapes
 alone, so ``_head``, one ``functools.cache`` over ``_extend``, keeps
 the state after a word's head, its first min(T, H) segments with
-H = 6, from the first word that opens with it; ``_count`` steps on
-from there.  Only valid words get past ``planar._shapes``, so the cache
-keeps at most 3,887 states: 1,944 heads of longer words, 8 opening
-segments each followed by 3^5 letter paths, and the 1,943 words of at
-most H segments, each its own head.
+H = 6, from the first word that opens with it; ``self_intersection``
+steps on from there.  Only valid words get past ``planar._shapes``, so
+the cache keeps at most 3,887 states: 1,944 heads of longer words, 8
+opening segments each followed by 3^5 letter paths, and the 1,943
+words of at most H segments, each its own head.
 ``_count_tree`` writes the step out inline instead: it steps each
 node's residual once for all of its children.
 
@@ -117,6 +117,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import sys
 from collections import Counter, namedtuple
 
 from .planar import (_FROM, _LABELS, _PAIR_SHAPES, _SUCCESSORS, _TO, DECISIONS,
@@ -130,7 +131,8 @@ def self_intersection(w: ArcWord) -> int:
     Raises AlignmentOverrun, naming the word, for a word built by hand
     that ``parse_word`` refuses.
     """
-    return _count(_shapes(w))
+    sc = _shapes(w)
+    return _extend(sc, H, *_head(sc[:H]))[1]
 
 
 def _strand_side(shared, into, item1, item2):
@@ -206,8 +208,8 @@ def _rows(s, later):
 @functools.cache
 def _tables(later):
     """The rows of every segment shape, built on first use: over earlier
-    partners for ``_count`` and ``_count_tree`` when ``later``, else
-    over later partners for ``trace``."""
+    partners for ``self_intersection`` and ``_count_tree`` when
+    ``later``, else over later partners for ``trace``."""
     return tuple([_rows(s, later) for s in range(64)])
 
 
@@ -259,11 +261,6 @@ def _head(head):
     return _extend(head, 1, 0, 0)
 
 
-def _count(sc):
-    """Self-intersection count from the segment shapes of a reduced word."""
-    return _extend(sc, H, *_head(sc[:H]))[1]
-
-
 def _count_tree(word_length, start, first):
     """Histogram of the counts of every word of the given length that
     starts with the boundary digit ``start`` and the letter ``first``;
@@ -279,14 +276,17 @@ def _count_tree(word_length, start, first):
     opening = (_PAIR_SHAPES[(start + 3) << 3 | first]
                if all(isinstance(x, int) for x in (word_length, start, first))
                and 0 < start < 4 and 0 <= first < 4 else 0)
+    task = f"census task ({word_length!r}, {start!r}, {first!r})"
     if not opening or word_length < 3:
-        raise ValueError(f"census task ({word_length!r}, {start!r}, {first!r}) "
-                         "has no word: it needs an integer length of 3 or more, "
-                         "a boundary digit 1-3 and a letter code 0-3 that may "
-                         "follow it")
+        raise ValueError(f"{task} has no word: it needs an integer length "
+                         "of 3 or more, a boundary digit 1-3 and a letter "
+                         "code 0-3 that may follow it")
+    L = word_length - 2
+    # grow recurses once per letter: refuse before hist is allocated
+    if L >= sys.getrecursionlimit():
+        raise ValueError(f"{task} is deeper than the recursion limit")
     rows = _tables(True)
     pairs = _end_pairs()
-    L = word_length - 2
     from_bytes = int.from_bytes
     ones = from_bytes(b"\x01" * L, "little")
     twos = ones << 1
@@ -314,8 +314,7 @@ def _count_tree(word_length, start, first):
     try:
         grow(1, first, opening, b"", 0)
     except RecursionError:
-        raise ValueError(f"census task ({word_length!r}, {start!r}, {first!r}) "
-                         "is deeper than the recursion limit") from None
+        raise ValueError(f"{task} is deeper than the recursion limit") from None
     return Counter({i: n for i, n in enumerate(hist) if n})
 
 
@@ -407,30 +406,6 @@ class Trace(namedtuple("Trace", "word labels grid total")):
         """The grid's cells keyed by pair (i, j), built on each access."""
         pairs = itertools.combinations(range(1, len(self.labels) + 1), 2)
         return dict(zip(pairs, self.grid))
-
-    def render(self) -> str:
-        return "\n".join(self._lines())
-
-    def _grid_rows(self):
-        """The grid one row at a time, as (i, the cells (i, i + 1) ..
-        (i, T)), for i from 1 to T - 1."""
-        T = len(self.labels)
-        end = 0
-        for i in range(1, T):
-            start, end = end, end + T - i
-            yield i, self.grid[start:end]
-
-    def _lines(self):
-        """The lines of ``render``, one at a time."""
-        names = [f"w{k + 1}={lab}" for k, lab in enumerate(self.labels)]
-        width = max(len(n) for n in names) + 2
-        yield " " * width + "".join(n.ljust(width) for n in names[1:])
-        gap = " " * (width - 1)
-        for i, cells in self._grid_rows():
-            # row i's cells sit under w(i+1) .. wT
-            yield (names[i - 1].ljust(width) + " " * (width * (i - 1))
-                   + gap.join(cells))
-        yield f"total = {self.total}"
 
 
 def trace(w: ArcWord) -> Trace:

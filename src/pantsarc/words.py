@@ -80,13 +80,10 @@ class ArcWord(namedtuple("ArcWord", "start letters end")):
         """Number of symbols in the word, crossings plus the two digits."""
         return len(self.letters) + 2
 
-    def render(self) -> str:
+    def __str__(self) -> str:
         # the digits as their ASCII bytes, which the table leaves alone
         return bytes([48 + self.start, *self.letters, 48 + self.end]).translate(
             _LETTER_BYTES).decode()
-
-    def __str__(self) -> str:
-        return self.render()
 
 
 def parse_word(text: str) -> ArcWord:

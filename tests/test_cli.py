@@ -3,6 +3,7 @@ import gc
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -285,18 +286,30 @@ def test_census_warns_above_the_size_limit(capsys, monkeypatch):
     assert calls == [((17,), {"jobs": 1, "allow_large": True})]
 
 
+def _cap_address_space():
+    # 512 MB for the child and the pool workers it forks, which inherit
+    # it: a histogram list of 30000 * 30001 / 2 entries, 3.6 GB, cannot
+    # be allocated under it
+    resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+
 def test_census_deeper_than_the_recursion_limit_is_refused():
     # the search recurses once per letter: past the recursion limit its
-    # first descent fails at once, as invalid input and not as a defect
+    # first descent fails at once, and a task that deep is refused before
+    # its histogram is allocated, as invalid input and not as a defect
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "pantsarc", "census", "--length", "1100",
-         "--jobs", "1"], env=env, capture_output=True, text=True, timeout=30)
-    assert proc.returncode == 1 and proc.stdout == "", proc.stderr
-    warning, error = proc.stderr.splitlines()
-    assert warning.startswith("warning: census at word length 1100 exceeds ")
-    assert error == ("error: census task (1100, 1, 3) is deeper than the "
-                     "recursion limit")
+    for length, jobs in (("1100", "1"), ("30000", "1"), ("30000", "2")):
+        proc = subprocess.run(
+            [sys.executable, "-m", "pantsarc", "census", "--length", length,
+             "--jobs", jobs], env=env, capture_output=True, text=True,
+            timeout=30, preexec_fn=_cap_address_space)
+        assert proc.returncode == 1 and proc.stdout == "", proc.stderr
+        warning, error = proc.stderr.splitlines()
+        assert warning.startswith(
+            f"warning: census at word length {length} exceeds ")
+        # both tasks are refused, and the first is named, pooled or not
+        assert error == (f"error: census task ({length}, 1, 3) is deeper "
+                         "than the recursion limit")
 
 
 @pytest.mark.parametrize("argv", [("spectrum", "--max", "-5"),

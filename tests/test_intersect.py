@@ -12,10 +12,10 @@ from hypothesis import given
 
 import pantsarc
 from pantsarc.census import count_words, enumerate_words, length_bounds
+from pantsarc.cli import main
 from pantsarc.intersect import (
     Chain,
     H,
-    _count,
     _end_pairs,
     _extend,
     _head,
@@ -169,8 +169,9 @@ def test_positive_words_meet_the_seam_floor(w):
     assert self_intersection(p) >= max(counts) - 1
 
 
-def test_render_shows_the_total():
-    text = trace(parse_word("1BABA2")).render()
+def test_render_shows_the_total(capsys):
+    assert main(["intersect", "1BABA2", "--trace", "--format", "text"]) == 0
+    text = capsys.readouterr().out
     assert text.splitlines()[-1] == "total = 2"
     assert "w1=1B" in text
 
@@ -184,6 +185,10 @@ def test_side_convention_against_circle_oracle():
         points = item_points(rng, jitter=0.3)
         assert _strand_side(shared, into, item1, item2) == \
             second_strand_left(points, shared, into, item1, item2)
+    # strands still at one item lie on no side of each other
+    for into in (False, True):
+        with pytest.raises(ValueError, match="have not diverged"):
+            _strand_side(0, into, 3, 3)
 
 
 @pytest.fixture(scope="module")
@@ -302,7 +307,7 @@ def _assert_resumes(w, splits):
     whole = _extend(sc, 1, 0, 0)
     for k in splits:
         assert _extend(sc, k, *_extend(sc[:k], 1, 0, 0)) == whole, (str(w), k)
-    assert whole[1] == _count(sc), str(w)
+    assert whole[1] == self_intersection(w), str(w)
 
 
 def test_extend_resumes_from_every_prefix():
