@@ -135,11 +135,11 @@ class CensusReport(namedtuple("CensusReport",
 CENSUS_SIZE_LIMIT = 16
 
 # below this many words a census runs in-process: starting a pool of two
-# workers costs more than it saves (on 2 Intel Xeon vCPUs, medians of 20
-# alternating in-process pairs: length 11 with 104,976 words took 26 ms
-# pooled and 15 ms serial; length 12 with 314,928 words 52 ms pooled and
-# 45 ms serial, pooled faster in 9 of 20 pairs, at the crossover; length
-# 13 with 944,784 words 83 ms pooled and 138 ms serial)
+# workers costs more than it saves (2 Intel Xeon vCPUs, medians of three
+# sets of 20 alternating in-process pairs: 104,976 words at length 11
+# took 19-24 ms pooled, 16 ms serial; 314,928 at length 12 32-51 ms
+# pooled, 43-56 ms serial, pooled faster in 13-20 of 20; 944,784 at
+# length 13 89-124 ms pooled, 132-148 ms serial)
 _POOL_MIN_WORDS = 200_000
 
 

@@ -62,21 +62,20 @@ steps on from there.  Only valid words get past ``planar._shapes``, so
 the cache keeps at most 3,887 states: 1,944 heads of longer words, 8
 opening segments each followed by 3^5 letter paths, and the 1,943
 words of at most H segments, each its own head.
-``_count_tree`` writes the step out inline instead: it steps each
-node's residual once for all of its children.
+``_count_tree`` writes the step out inline instead.
 
-The children of a search-tree node share their newest segment s's
-start fr[s] and every earlier segment; only to[s] differs between
-them.  The residual holds only the chain ends no child can move, so
-``_count_tree`` steps a node's residual from its parent's once, and
-each child is one translate through the row of its shape and a count
-of the ones; the same translate hands the child's verdicts on to its
-own children.  A node at the last letter has no children to hand on
-to, only its two closing digits, which every letter has: ``_end_pairs``
-merges their rows into one *end-pair row* per letter, bit 0 the price
-against the first digit's segment and bit 1 against the second's, so
-the node prices both words in one translate, read as one integer z,
-and counts the ones of z in bit 0 and in bit 1 of every byte.
+The children of a search-tree node share their newest segment s's start
+fr[s] and every earlier segment; only to[s] differs between them.  The
+residual holds only the chain ends no child can move, so ``_count_tree``
+steps a node's residual from its parent's once, for all of its children.
+A node's state is ``_extend``'s (y, total): its parent's translate
+through the row of its shape, read as one integer y, and the prices so
+far, to which the node adds its own, the ones of y.  A node at the last
+letter has no children, only the two closing digits every letter has:
+``_end_pairs`` merges their rows into one *end-pair row* per letter,
+bit 0 the price against the first digit's segment and bit 1 against the
+second's, so the node prices both words in one translate, read as one
+integer z, and counts the ones of z in bit 0 and in bit 1 of every byte.
 
 The shapes of a word come from one translate too, ``planar._shapes``
 of the symbol pairs through ``planar._PAIR_SHAPES``.
@@ -293,11 +292,12 @@ def _count_tree(word_length, start, first):
     kept = ones << 6
     hist = [0] * (L * (L + 1) // 2 + 1)
 
-    def grow(k, prev, shapes, priced, subtotal):
-        # shapes holds the path's segments k - 1 down to 0, priced is
-        # the translate that priced segment k - 1, and the children
-        # share segment k's start, so one step serves them all
-        y = from_bytes(priced, "little")
+    def grow(k, prev, shapes, y, subtotal):
+        # _extend's state: y the parent's translate, read as an integer,
+        # and subtotal the prices so far, to which the node adds its own;
+        # shapes holds segments k - 1 down to 0, and the children share
+        # segment k's start, so one step serves them all
+        subtotal += (y & ones).bit_count()
         residual = (shapes | (y | y << 15) & kept).to_bytes(k, "little")
         if k == L:
             # the two words that close after the last letter, in one
@@ -308,11 +308,11 @@ def _count_tree(word_length, start, first):
             hist[subtotal + (z & twos).bit_count()] += 1
             return
         for c, cs in _SUCCESSORS[prev][0]:
-            priced = residual.translate(rows[cs])
-            grow(k + 1, c, shapes << 8 | cs, priced, subtotal + priced.count(1))
+            grow(k + 1, c, shapes << 8 | cs,
+                 from_bytes(residual.translate(rows[cs]), "little"), subtotal)
 
     try:
-        grow(1, first, opening, b"", 0)
+        grow(1, first, opening, 0, 0)
     except RecursionError:
         raise ValueError(f"{task} is deeper than the recursion limit") from None
     return Counter({i: n for i, n in enumerate(hist) if n})

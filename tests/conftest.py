@@ -39,9 +39,10 @@ def pytest_terminal_summary(terminalreporter):
 def pytest_addoption(parser):
     parser.addoption("--extended", action="store_true",
                      help="also run the long checks: census at word lengths "
-                          "13-16, positivize through length 12, cover "
-                          "through 10^7 and _extend split at every prefix "
-                          "through length 11")
+                          "13-16 with its histogram pins (word count, sum "
+                          "of i, sum of i^2, SHA-256), positivize through "
+                          "length 12, cover through 10^7 and _extend split "
+                          "at every prefix through length 11")
 
 
 def pytest_configure(config):

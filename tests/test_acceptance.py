@@ -8,6 +8,7 @@ fails the gate.
 """
 
 import functools
+import hashlib
 import io
 import itertools
 import json
@@ -111,14 +112,33 @@ def test_census_reference(census_by_length):
         assert (report.min_i, report.max_i) == reference[wl], wl
 
 
+# word count, sum of i, sum of i^2 and the SHA-256 of
+# json.dumps(report.histogram_pairs()) at word lengths 13-16; the
+# length-16 row is also ROADMAP item 14's table
+CENSUS_MOMENTS = {
+    13: (944_784, 21_505_292, 506_385_100,
+         "14ed2fa705cc942734ad94ae762ee8cdf1cb4a193d2f8c5d044778d3e81c12f0"),
+    14: (2_834_352, 74_207_248, 2_007_604_320,
+         "2e0773417e38fae4e34463e91a6fffab595f366ad634d138587c430ee3694323"),
+    15: (8_503_056, 253_583_364, 7_806_592_524,
+         "d2597ee37134d7c159885b4b566baf5f1d952695eb2158e1e7ce684a717ff114"),
+    16: (25_509_168, 859_307_448, 29_852_772_832,
+         "f8f2335987c4d5911a034a6d7440bea7cf94c0e12045f0ceb69b9c17b670f450"),
+}
+
+
 @pytest.mark.extended
-@criterion(3, "census extremes match the reference at word lengths 13..16 (extended)")
+@criterion(3, "census extremes and histogram pins at word lengths 13..16 (extended)")
 def test_census_reference_extended():
     t0 = time.perf_counter()
     reference = load_reference_minmax()
     for wl in range(13, 17):
         report = census(wl)
         assert (report.min_i, report.max_i) == reference[wl], wl
+        pairs = report.histogram_pairs()
+        digest = hashlib.sha256(json.dumps(pairs).encode()).hexdigest()
+        assert (report.word_count, sum(i * n for i, n in pairs),
+                sum(i * i * n for i, n in pairs), digest) == CENSUS_MOMENTS[wl], wl
     assert time.perf_counter() - t0 < 600
 
 
