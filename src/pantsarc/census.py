@@ -137,9 +137,9 @@ CENSUS_SIZE_LIMIT = 16
 # below this many words a census runs in-process: starting a pool of two
 # workers costs more than it saves (2 Intel Xeon vCPUs, medians of three
 # sets of 20 alternating in-process pairs: 104,976 words at length 11
-# took 19-24 ms pooled, 16 ms serial; 314,928 at length 12 32-51 ms
-# pooled, 43-56 ms serial, pooled faster in 13-20 of 20; 944,784 at
-# length 13 89-124 ms pooled, 132-148 ms serial)
+# took 23-26 ms pooled, 16-26 ms serial, pooled faster in 2-6 of 20;
+# 314,928 at length 12 42-53 ms pooled, 50-72 ms serial, pooled faster
+# in 16-18 of 20; 944,784 at length 13 96-141 ms pooled, 141-244 ms serial)
 _POOL_MIN_WORDS = 200_000
 
 

@@ -62,20 +62,22 @@ steps on from there.  Only valid words get past ``planar._shapes``, so
 the cache keeps at most 3,887 states: 1,944 heads of longer words, 8
 opening segments each followed by 3^5 letter paths, and the 1,943
 words of at most H segments, each its own head.
-``_count_tree`` writes the step out inline instead.
+``_count_tree`` writes the step inline, in a node's loop over children.
 
 The children of a search-tree node share their newest segment s's start
 fr[s] and every earlier segment; only to[s] differs between them.  The
-residual holds only the chain ends no child can move, so ``_count_tree``
-steps a node's residual from its parent's once, for all of its children.
-A node's state is ``_extend``'s (y, total): its parent's translate
-through the row of its shape, read as one integer y, and the prices so
-far, to which the node adds its own, the ones of y.  A node at the last
-letter has no children, only the two closing digits every letter has:
-``_end_pairs`` merges their rows into one *end-pair row* per letter,
-bit 0 the price against the first digit's segment and bit 1 against the
-second's, so the node prices both words in one translate, read as one
-integer z, and counts the ones of z in bit 0 and in bit 1 of every byte.
+residual holds only the chain ends no child can move, so a node builds
+it once and steps each child from it: one translate through the row of
+the child's shape, read as one integer y, gives the child ``_extend``'s
+state (y, total), the node's prices plus the ones of y, and its
+residual.  The root is the opening digit, with an empty residual and
+the first letter its only child.  A child at the last letter has only
+the two closing digits every letter has: ``_end_pairs`` merges their
+rows into one *end-pair row* per letter, bit 0 the price against the
+first digit's segment and bit 1 against the second's, so its parent
+prices both words in its own loop with one more translate, read as one
+integer z, and no call: the first word adds the ones of z in bit 0 of
+every byte, the second the rest.
 
 The shapes of a word come from one translate too, ``planar._shapes``
 of the symbol pairs through ``planar._PAIR_SHAPES``.
@@ -265,6 +267,8 @@ def _count_tree(word_length, start, first):
     starts with the boundary digit ``start`` and the letter ``first``;
     ValueError, naming the task, for a task with no word or too deep.
 
+    Each node steps its children, the opening digit's only child the
+    first letter, and prices a child at the last letter in its own loop.
     The leaves tally into a flat list indexed by the count, which
     CPython updates faster than a ``Counter``: a word of L crossings has
     L + 1 segments, so at most L (L + 1) / 2 self-crossings (the upper
@@ -286,33 +290,36 @@ def _count_tree(word_length, start, first):
         raise ValueError(f"{task} is deeper than the recursion limit")
     rows = _tables(True)
     pairs = _end_pairs()
+    # each letter's children: letter, shape of the segment to it, that
+    # shape's row and the child's end-pair row
+    steps = [tuple([(c, cs, rows[cs], pairs[c]) for c, cs in letters])
+             for letters, _ in _SUCCESSORS[:4]]
     from_bytes = int.from_bytes
     ones = from_bytes(b"\x01" * L, "little")
-    twos = ones << 1
     kept = ones << 6
     hist = [0] * (L * (L + 1) // 2 + 1)
 
-    def grow(k, prev, shapes, y, subtotal):
-        # _extend's state: y the parent's translate, read as an integer,
-        # and subtotal the prices so far, to which the node adds its own;
-        # shapes holds segments k - 1 down to 0, and the children share
-        # segment k's start, so one step serves them all
-        subtotal += (y & ones).bit_count()
-        residual = (shapes | (y | y << 15) & kept).to_bytes(k, "little")
-        if k == L:
-            # the two words that close after the last letter, in one
-            # translate: bit 0 prices the first closing digit, bit 1 the
-            # second
-            z = from_bytes(residual.translate(pairs[prev]), "little")
-            hist[subtotal + (z & ones).bit_count()] += 1
-            hist[subtotal + (z & twos).bit_count()] += 1
-            return
-        for c, cs in _SUCCESSORS[prev][0]:
-            grow(k + 1, c, shapes << 8 | cs,
-                 from_bytes(residual.translate(rows[cs]), "little"), subtotal)
+    def grow(k, residual, shapes, subtotal, children):
+        # residual: segments 0 to k - 2 seen from segment k - 1, whose
+        # start the children share; shapes: segments k - 2 down to 0;
+        # subtotal: the prices of their pairs
+        for c, cs, row, pair in children:
+            y = from_bytes(residual.translate(row), "little")
+            total = subtotal + (y & ones).bit_count()
+            seen = shapes << 8 | cs
+            child = (seen | (y | y << 15) & kept).to_bytes(k, "little")
+            if k < L:
+                grow(k + 1, child, seen, total, steps[c])
+            else:
+                # the last letter: both closing words in one translate,
+                # bit 0 the first closing digit, bit 1 the second
+                z = from_bytes(child.translate(pair), "little")
+                a = (z & ones).bit_count()
+                hist[total + a] += 1
+                hist[total + z.bit_count() - a] += 1
 
     try:
-        grow(1, first, opening, 0, 0)
+        grow(1, b"", 0, 0, ((first, opening, rows[opening], pairs[first]),))
     except RecursionError:
         raise ValueError(f"{task} is deeper than the recursion limit") from None
     return Counter({i: n for i, n in enumerate(hist) if n})

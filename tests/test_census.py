@@ -1,5 +1,9 @@
+import hashlib
+import importlib
+import json
 import multiprocessing
 import re
+import types
 from collections import Counter
 from itertools import product
 
@@ -123,14 +127,17 @@ POOLED_LENGTH = next(wl for wl in range(2, CENSUS_SIZE_LIMIT + 1)
                      if count_words(wl) >= _POOL_MIN_WORDS)
 
 
-@pytest.fixture
-def pools_started(monkeypatch):
-    """The size of each pool the census starts, in order."""
+def _record_pools(monkeypatch, pool):
     started = []
-    pool = multiprocessing.Pool
     monkeypatch.setattr(multiprocessing, "Pool",
                         lambda n: started.append(n) or pool(n))
     return started
+
+
+@pytest.fixture
+def pools_started(monkeypatch):
+    """The size of each pool the census starts, in order."""
+    return _record_pools(monkeypatch, multiprocessing.Pool)
 
 
 def test_census_is_deterministic_across_workers(pools_started):
@@ -147,6 +154,46 @@ def test_census_pools_from_the_crossover(pools_started):
     assert pools_started == []
     assert census(wl, jobs=2) == census(wl, jobs=1)
     assert pools_started == [2]
+
+
+def test_census_pools_under_spawn(monkeypatch):
+    # spawn, the default start method on macOS and Windows, starts workers
+    # that re-import the tree walk by its name; fork would hide a walk
+    # they cannot reach
+    started = _record_pools(monkeypatch,
+                            multiprocessing.get_context("spawn").Pool)
+    wl = POOLED_LENGTH
+    assert census(wl, jobs=2) == census(wl, jobs=1)
+    assert started == [2]
+
+
+def test_census_name_binds_the_function():
+    # the package re-exports census() under its module's name, so the
+    # attribute pantsarc.census is the function, also through
+    # "import pantsarc.census as m"; names still import from the module,
+    # and importlib reaches the module itself
+    import pantsarc
+    import pantsarc.census as bound
+    from pantsarc import census as exported
+    module = importlib.import_module("pantsarc.census")
+    assert isinstance(module, types.ModuleType)
+    assert bound is exported is pantsarc.census is module.census is census
+    assert not hasattr(bound, "_POOL_MIN_WORDS")
+    assert module._POOL_MIN_WORDS == _POOL_MIN_WORDS
+
+
+# SHA-256 of json.dumps(report.histogram_pairs()) at the two lengths past
+# the word-by-word check of the tree walk and below the extended pins
+HISTOGRAM_SHA256 = {
+    11: "d7d8c5ac414d03d227c70b84b34ac288ece3c5de3d54a72be023acbf0f69734b",
+    12: "09f70bf01a5444ebb56d1aab4b69c82ffe99881249d500cfc26d47f1ac1fe2a7",
+}
+
+
+def test_census_histograms_are_pinned(census_by_length):
+    for wl, digest in HISTOGRAM_SHA256.items():
+        pairs = json.dumps(census_by_length[wl].histogram_pairs())
+        assert hashlib.sha256(pairs.encode()).hexdigest() == digest, wl
 
 
 def test_task_orbits_share_one_histogram(census_by_length):
