@@ -70,14 +70,15 @@ residual holds only the chain ends no child can move, so a node builds
 it once and steps each child from it: one translate through the row of
 the child's shape, read as one integer y, gives the child ``_extend``'s
 state (y, total), the node's prices plus the ones of y, and its
-residual.  The root is the opening digit, with an empty residual and
-the first letter its only child.  A child at the last letter has only
-the two closing digits every letter has: ``_end_pairs`` merges their
-rows into one *end-pair row* per letter, bit 0 the price against the
-first digit's segment and bit 1 against the second's, so its parent
-prices both words in its own loop with one more translate, read as one
-integer z, and no call: the first word adds the ones of z in bit 0 of
-every byte, the second the rest.
+residual.  One cache, ``_steps()``, holds each symbol's letter children
+from ``planar._SUCCESSORS`` with their rows; the root is the opening
+digit's entry with only the first letter kept, and an empty residual.
+A child at the last letter has only the two closing digits every
+letter has: ``_steps()`` merges their rows into one *end-pair row* per
+letter, bit 0 the price against the first digit's segment and bit 1
+against the second's, so its parent prices both words in its own loop
+with one more translate, read as one integer z, and no call: the first
+word adds the ones of z in bit 0 of every byte, the second the rest.
 
 The shapes of a word come from one translate too, ``planar._shapes``
 of the symbol pairs through ``planar._PAIR_SHAPES``.
@@ -121,8 +122,7 @@ import itertools
 import sys
 from collections import Counter, namedtuple
 
-from .planar import (_FROM, _LABELS, _PAIR_SHAPES, _SUCCESSORS, _TO, DECISIONS,
-                     _shapes)
+from .planar import _FROM, _LABELS, _SUCCESSORS, _TO, DECISIONS, _shapes
 from .words import ArcWord
 
 
@@ -215,15 +215,18 @@ def _tables(later):
 
 
 @functools.cache
-def _end_pairs():
-    """The end-pair row of each letter code, built on first use from its
-    two closing digits' rows in ``_tables(True)``: bit 0 of an entry is
-    set where the first one's entry is 1, bit 1 where the second one's
-    is, so one translate prices both words that close after the letter."""
+def _steps():
+    """The letter children (c, cs, row, pair) of each symbol code, built
+    on first use from ``_SUCCESSORS`` and ``_tables(True)``: the letter,
+    the shape of the segment to it, that shape's row and the letter's
+    end-pair row, bit 0 of an entry set where its first closing digit's
+    row holds a 1 and bit 1 where its second one's does."""
     rows = _tables(True)
-    return tuple([bytes([(rows[a][x] == 1) | (rows[b][x] == 1) << 1
-                         for x in range(256)])
-                  for (_, a), (_, b) in (ends for _, ends in _SUCCESSORS[:4])])
+    pairs = [bytes([(rows[a][x] == 1) | (rows[b][x] == 1) << 1
+                    for x in range(256)])
+             for (_, a), (_, b) in (ends for _, ends in _SUCCESSORS[:4])]
+    return tuple([tuple([(c, cs, rows[cs], pairs[c]) for c, cs in letters])
+                  for letters, _ in _SUCCESSORS])
 
 
 def _extend(sc, k, y, total):
@@ -267,8 +270,9 @@ def _count_tree(word_length, start, first):
     starts with the boundary digit ``start`` and the letter ``first``;
     ValueError, naming the task, for a task with no word or too deep.
 
-    Each node steps its children, the opening digit's only child the
-    first letter, and prices a child at the last letter in its own loop.
+    Each node steps its children from ``_steps()``, the root the opening
+    digit's child at the first letter, and prices a child at the last
+    letter in its own loop.  A task has no word when that root is empty.
     The leaves tally into a flat list indexed by the count, which
     CPython updates faster than a ``Counter``: a word of L crossings has
     L + 1 segments, so at most L (L + 1) / 2 self-crossings (the upper
@@ -276,11 +280,12 @@ def _count_tree(word_length, start, first):
     of L (L + 1) / 2 + 1 entries; an IndexError would be a fault of the
     rows.  The histogram is returned as a ``Counter`` of the nonzero
     entries."""
-    opening = (_PAIR_SHAPES[(start + 3) << 3 | first]
-               if all(isinstance(x, int) for x in (word_length, start, first))
-               and 0 < start < 4 and 0 <= first < 4 else 0)
+    steps = _steps()
+    root = (tuple([t for t in steps[start + 3] if t[0] == first])
+            if all(isinstance(x, int) for x in (word_length, start, first))
+            and 0 < start < 4 else ())
     task = f"census task ({word_length!r}, {start!r}, {first!r})"
-    if not opening or word_length < 3:
+    if not root or word_length < 3:
         raise ValueError(f"{task} has no word: it needs an integer length "
                          "of 3 or more, a boundary digit 1-3 and a letter "
                          "code 0-3 that may follow it")
@@ -288,12 +293,6 @@ def _count_tree(word_length, start, first):
     # grow recurses once per letter: refuse before hist is allocated
     if L >= sys.getrecursionlimit():
         raise ValueError(f"{task} is deeper than the recursion limit")
-    rows = _tables(True)
-    pairs = _end_pairs()
-    # each letter's children: letter, shape of the segment to it, that
-    # shape's row and the child's end-pair row
-    steps = [tuple([(c, cs, rows[cs], pairs[c]) for c, cs in letters])
-             for letters, _ in _SUCCESSORS[:4]]
     from_bytes = int.from_bytes
     ones = from_bytes(b"\x01" * L, "little")
     kept = ones << 6
@@ -319,7 +318,7 @@ def _count_tree(word_length, start, first):
                 hist[total + z.bit_count() - a] += 1
 
     try:
-        grow(1, b"", 0, 0, ((first, opening, rows[opening], pairs[first]),))
+        grow(1, b"", 0, 0, root)
     except RecursionError:
         raise ValueError(f"{task} is deeper than the recursion limit") from None
     return Counter({i: n for i, n in enumerate(hist) if n})

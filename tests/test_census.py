@@ -3,6 +3,7 @@ import importlib
 import json
 import multiprocessing
 import re
+import sys
 import types
 from collections import Counter
 from itertools import product
@@ -156,12 +157,14 @@ def test_census_pools_from_the_crossover(pools_started):
     assert pools_started == [2]
 
 
-def test_census_pools_under_spawn(monkeypatch):
-    # spawn, the default start method on macOS and Windows, starts workers
+@pytest.mark.parametrize("method", ("spawn", "forkserver"))
+def test_census_pools_under_spawn(monkeypatch, method):
+    # spawn, the default start method on macOS and Windows, and
+    # forkserver, the default on Linux from Python 3.14, start workers
     # that re-import the tree walk by its name; fork would hide a walk
     # they cannot reach
     started = _record_pools(monkeypatch,
-                            multiprocessing.get_context("spawn").Pool)
+                            multiprocessing.get_context(method).Pool)
     wl = POOLED_LENGTH
     assert census(wl, jobs=2) == census(wl, jobs=1)
     assert started == [2]
@@ -227,6 +230,18 @@ def test_count_tree_refuses_a_task_with_no_word():
         with pytest.raises(ValueError,
                            match=rf"^census task {re.escape(str(task))} has no word: "):
             _count_tree(*task)
+
+
+def test_count_tree_refuses_a_task_deeper_than_the_recursion_limit():
+    # a task of L = limit - 1 letters passes the check made before the
+    # histogram is allocated, and its first descent overflows the stack:
+    # the walk refuses it with the same message as one of L = limit
+    # letters, refused by that check
+    limit = sys.getrecursionlimit()
+    for wl in (limit + 1, limit + 2):
+        with pytest.raises(ValueError, match=rf"^census task \({wl}, 1, 3\) "
+                           "is deeper than the recursion limit$"):
+            _count_tree(wl, 1, 3)
 
 
 def test_count_tree_keeps_only_counts_that_occur():

@@ -16,9 +16,9 @@ from pantsarc.cli import main
 from pantsarc.intersect import (
     Chain,
     H,
-    _end_pairs,
     _extend,
     _head,
+    _steps,
     _strand_side,
     _tables,
     resolve_chain,
@@ -263,21 +263,30 @@ def test_kernel_rows_price_or_hand_on():
 
 
 def test_end_pair_rows_price_both_closing_digits():
-    # a census leaf prices the two words that close after its last
-    # letter in one translate: every letter has exactly two closing
-    # digits, and on every residual byte its end-pair row's bit 0 and
-    # bit 1 are the prices of the two closing shapes' kernel rows
+    # the census walk reads every child from _steps(): each symbol's
+    # letter children as _SUCCESSORS lists them, with their shapes'
+    # kernel rows.  A census leaf prices the two words that close after
+    # its last letter in one translate: every letter has exactly two
+    # closing digits, and on every residual byte its end-pair row's
+    # bit 0 and bit 1 are the prices of the two closing shapes' rows
     rows = _tables(True)
-    pairs = _end_pairs()
-    assert len(pairs) == 4
-    for c in range(4):
+    steps = _steps()
+    assert len(steps) == len(_SUCCESSORS) == 7
+    pairs = {}
+    for x, children in enumerate(steps):
+        assert [(c, cs) for c, cs, _, _ in children] == list(_SUCCESSORS[x][0])
+        for c, cs, row, pair in children:
+            assert row is rows[cs], (x, c)
+            assert pairs.setdefault(c, pair) is pair, (x, c)
+    assert sorted(pairs) == [0, 1, 2, 3]
+    for c, pair in pairs.items():
         ends = _SUCCESSORS[c][1]
         assert len(ends) == 2, c
         (_, first), (_, second) = ends
-        assert len(pairs[c]) == 256
+        assert len(pair) == 256
         for x in range(256):
-            assert pairs[c][x] & 1 == (rows[first][x] == 1), (c, x)
-            assert pairs[c][x] >> 1 & 1 == (rows[second][x] == 1), (c, x)
+            assert pair[x] & 1 == (rows[first][x] == 1), (c, x)
+            assert pair[x] >> 1 & 1 == (rows[second][x] == 1), (c, x)
 
 
 def test_count_holds_one_residual_at_a_time():
